@@ -1,7 +1,7 @@
 """Graviton-mediated photon-photon scattering at tree level.
 
-The package evaluates the three exchange diagrams by explicit tensor
-contraction, checks them against the closed-form amplitude table, and turns
+The package evaluates the three exchange diagrams from contracted vertex
+blocks, checks them against the closed-form amplitude table, and turns
 the amplitudes into differential cross sections for polarization-entangled
 photon pairs, alongside the electron-loop channel that dominates at
 accessible energies and the coincidence modulation a paired detector would
@@ -11,10 +11,8 @@ record.
 from .lorentz import (
     METRIC,
     FourVector,
-    Rank4Tensor,
     minkowski_dot,
     lower_index,
-    contract_rank4_vectors,
 )
 from .kinematics import (
     PERPENDICULAR,
@@ -28,13 +26,16 @@ from .amplitudes import (
     PoleError,
     DiagramChannel,
     AmplitudeMatrix,
-    vertex_tensor,
-    graviton_propagator_numerator,
+    contracted_vertex,
+    graviton_coupling,
+    channel_amplitudes,
     diagram_amplitude,
     amplitude_sum,
     diagram_sum_matrix,
+    diagram_sum_grid,
     closed_form_element,
     closed_form_matrix,
+    closed_form_grid,
 )
 from .qed import QedContext, qed_element_1212, qed_element_1221
 from .cross_sections import (
@@ -58,10 +59,8 @@ __version__ = "0.1.0"
 __all__ = [
     "METRIC",
     "FourVector",
-    "Rank4Tensor",
     "minkowski_dot",
     "lower_index",
-    "contract_rank4_vectors",
     "PERPENDICULAR",
     "PARALLEL",
     "KinematicConfig",
@@ -71,13 +70,16 @@ __all__ = [
     "PoleError",
     "DiagramChannel",
     "AmplitudeMatrix",
-    "vertex_tensor",
-    "graviton_propagator_numerator",
+    "contracted_vertex",
+    "graviton_coupling",
+    "channel_amplitudes",
     "diagram_amplitude",
     "amplitude_sum",
     "diagram_sum_matrix",
+    "diagram_sum_grid",
     "closed_form_element",
     "closed_form_matrix",
+    "closed_form_grid",
     "QedContext",
     "qed_element_1212",
     "qed_element_1221",

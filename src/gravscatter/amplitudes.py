@@ -22,25 +22,28 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from .kinematics import KinematicConfig
-from .lorentz import METRIC, FourVector, Rank4Tensor, contract_rank4_vectors, minkowski_dot
+from .kinematics import KinematicConfig, check_theta, com_arrays
+from .lorentz import METRIC
 
 __all__ = [
     "POLE_TOLERANCE",
     "PoleError",
     "DiagramChannel",
     "AmplitudeMatrix",
-    "vertex_tensor",
-    "graviton_propagator_numerator",
+    "CHUNK_ANGLES",
+    "contracted_vertex",
+    "graviton_coupling",
+    "channel_amplitudes",
     "diagram_amplitude",
     "amplitude_sum",
     "diagram_sum_matrix",
+    "diagram_sum_grid",
     "closed_form_element",
     "closed_form_matrix",
+    "closed_form_grid",
 ]
 
 POLE_TOLERANCE = 1e-10
@@ -49,6 +52,14 @@ POLE_TOLERANCE = 1e-10
 # written it reproduces the negative of the reference element table, so the
 # reduced amplitudes here use +1. See ERRATA.md.
 _DIAGRAM_SIGN = 1.0
+
+# Angles per kernel call in diagram_sum_grid. An angle holds four 4x4 blocks
+# per vertex plus temporaries, a few kB, so a chunk stays well under 1 MB
+# however long the grid is.
+CHUNK_ANGLES = 256
+
+_ETA = np.diag(METRIC).copy()
+_ETA_PAIR = np.outer(_ETA, _ETA)
 
 
 class PoleError(ValueError):
@@ -98,13 +109,18 @@ def _check_pols(pols) -> tuple[int, int, int, int]:
     return pols
 
 
-def vertex_tensor(p_out: FourVector, p_in: FourVector, *,
-                  perturbation: float = 0.0) -> Rank4Tensor:
-    """Two-photon-graviton vertex T_{mu nu beta alpha}(p_out, p_in).
+def _mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minkowski products a . b over the last axis."""
+    return (a * b) @ _ETA
 
-    Index layout: (mu, nu) couple to the graviton, beta to the outgoing
-    photon's polarization and alpha to the incoming one's. With q = p_out
-    and p = p_in the five contributions are
+
+def contracted_vertex(p_out, p_in, eps_out, eps_in, *,
+                      perturbation: float = 0.0) -> np.ndarray:
+    """Two-photon-graviton vertex with both photon slots filled.
+
+    The vertex T_{mu nu beta alpha}(q, p), q = p_out and p = p_in, has (mu, nu)
+    on the graviton, beta on the outgoing photon and alpha on the incoming
+    one:
 
         T =   q_alpha p_mu eta_{beta nu} + (mu <-> nu)
             + p_beta  q_mu eta_{alpha nu} + (mu <-> nu)
@@ -112,72 +128,124 @@ def vertex_tensor(p_out: FourVector, p_in: FourVector, *,
             + (q . p) eta_{mu nu} eta_{alpha beta} - eta_{mu nu} p_beta q_alpha
             - (q . p) (eta_{mu alpha} eta_{nu beta} + eta_{mu beta} eta_{nu alpha}).
 
-    The result is symmetric under mu <-> nu and bilinear in the two momenta,
-    so feeding a sign-flipped momentum for a crossed leg just flips the sign
-    of the whole tensor. ``perturbation`` rescales the final metric-pair term
-    by (1 + perturbation); it exists purely as a negative control for the
-    verification gate and must stay 0 in physics use.
+    Contracting beta with e = eps_out and alpha with f = eps_in leaves the
+    covariant rank-2 block
+
+        B = (q.f) {p, e} + (p.e) {q, f} - (e.f) {q, p}
+            + [(q.p)(e.f) - (p.e)(q.f)] eta - (q.p) {e, f},
+
+    where {a, b}_{mu nu} = a_mu b_nu + b_mu a_nu. B is symmetric and bilinear
+    in the two momenta, so a sign-flipped momentum for a crossed leg flips
+    the whole block. ``perturbation`` rescales the final metric-pair term by
+    (1 + perturbation); it exists purely as a negative control for the
+    verification gate and must stay 0 in physics use. Arguments carry
+    contravariant components on the last axis; leading axes broadcast.
     """
-    out_low = METRIC @ p_out.components
-    in_low = METRIC @ p_in.components
-    dot = minkowski_dot(p_out, p_in)
-    t = np.einsum("a,m,bn->mnba", out_low, in_low, METRIC)
-    t += np.einsum("a,n,bm->mnba", out_low, in_low, METRIC)
-    t += np.einsum("b,m,an->mnba", in_low, out_low, METRIC)
-    t += np.einsum("b,n,am->mnba", in_low, out_low, METRIC)
-    t -= np.einsum("ab,m,n->mnba", METRIC, out_low, in_low)
-    t -= np.einsum("ab,m,n->mnba", METRIC, in_low, out_low)
-    t += dot * np.einsum("mn,ab->mnba", METRIC, METRIC)
-    t -= np.einsum("mn,b,a->mnba", METRIC, in_low, out_low)
-    metric_pair = np.einsum("ma,nb->mnba", METRIC, METRIC)
-    metric_pair += np.einsum("mb,na->mnba", METRIC, METRIC)
-    t -= dot * (1.0 + float(perturbation)) * metric_pair
-    return Rank4Tensor(t)
+    q, p, e, f = (np.asarray(v, dtype=np.float64) for v in (p_out, p_in, eps_out, eps_in))
+    qf, pe, ef, qp = _mdot(q, f), _mdot(p, e), _mdot(e, f), _mdot(q, p)
+    ql, pl, el, fl = (v * _ETA for v in (q, p, e, f))
+    # Sum the a_mu (w b)_nu halves of the {a, b} terms, then add the
+    # transpose once: the block comes out exactly symmetric.
+    half = (0.5 * (qp * ef - pe * qf))[..., None, None] * METRIC
+    for a, b, weight in ((pl, el, qf), (ql, fl, pe), (ql, pl, -ef),
+                         (el, fl, -qp * (1.0 + float(perturbation)))):
+        half += a[..., :, None] * (weight[..., None] * b)[..., None, :]
+    block = half + np.swapaxes(half, -1, -2)
+    return block
 
 
-@lru_cache(maxsize=1)
-def graviton_propagator_numerator() -> Rank4Tensor:
-    """Harmonic-gauge spin-2 numerator P_{mu nu alpha beta}.
+def graviton_coupling(block1, block2) -> np.ndarray:
+    """Two symmetric vertex blocks joined by the harmonic-gauge propagator.
 
-    P = (eta_{mu alpha} eta_{nu beta} + eta_{mu beta} eta_{nu alpha}
-         - eta_{mu nu} eta_{alpha beta}) / 2,
-    stored with index order (mu, nu, alpha, beta). Tracing the first pair
-    with the inverse metric gives -eta_{alpha beta}.
+    With the numerator P_{mu nu alpha beta} = (eta_{mu alpha} eta_{nu beta} +
+    eta_{mu beta} eta_{nu alpha} - eta_{mu nu} eta_{alpha beta}) / 2, the
+    contraction B1^{mu nu} P_{mu nu alpha beta} B2^{alpha beta} of symmetric
+    blocks reduces to B1:B2 - tr B1 tr B2 / 2, every index raised by the
+    metric. Leading axes broadcast.
     """
-    p = np.einsum("ma,nb->mnab", METRIC, METRIC)
-    p += np.einsum("mb,na->mnab", METRIC, METRIC)
-    p -= np.einsum("mn,ab->mnab", METRIC, METRIC)
-    return Rank4Tensor(0.5 * p)
+    full = np.einsum("...mn,...mn,mn->...", block1, block2, _ETA_PAIR)
+    trace1 = np.diagonal(block1, axis1=-2, axis2=-1) @ _ETA
+    trace2 = np.diagonal(block2, axis1=-2, axis2=-1) @ _ETA
+    return full - 0.5 * trace1 * trace2
 
 
-# Per channel: two legs, each (photon on the out slot, momentum fed to the out
-# slot, photon on the in slot, momentum fed to the in slot), then the exchange
-# momentum. Crossed legs appear with flipped momentum signs.
-def _channel_legs(channel: DiagramChannel, config: KinematicConfig):
-    p1, p2, p3, p4 = config.p1, config.p2, config.p3, config.p4
-    if channel is DiagramChannel.T_CHANNEL:
-        return (3, p3, 1, p1), (4, p4, 2, p2), p1 - p3
-    if channel is DiagramChannel.U_CHANNEL:
-        return (4, p4, 1, p1), (3, p3, 2, p2), p1 - p4
-    if channel is DiagramChannel.S_CHANNEL:
-        return (2, -p2, 1, p1), (3, p3, 4, -p4), p1 + p2
-    raise TypeError(f"expected a DiagramChannel, got {channel!r}")
+# Per channel: two vertices, each (photon on the out slot, sign of the
+# momentum fed to it, photon on the in slot, sign of its momentum), photons
+# 0-based; then the exchange momentum q = p1 + sign * p_k as (k, sign).
+# Crossed legs appear with flipped momentum signs.
+_CHANNELS = (
+    (DiagramChannel.T_CHANNEL, ((2, 1.0, 0, 1.0), (3, 1.0, 1, 1.0)), (2, -1.0)),
+    (DiagramChannel.U_CHANNEL, ((3, 1.0, 0, 1.0), (2, 1.0, 1, 1.0)), (3, -1.0)),
+    (DiagramChannel.S_CHANNEL, ((1, -1.0, 0, 1.0), (2, 1.0, 3, -1.0)), (1, 1.0)),
+)
+_CHANNEL_INDEX = {channel: k for k, (channel, _, _) in enumerate(_CHANNELS)}
 
 
-def _vertex_block(tensor: Rank4Tensor, eps_out: FourVector,
-                  eps_in: FourVector) -> np.ndarray:
-    """Graviton-side rank-2 block: polarizations fill the photon slots."""
-    return contract_rank4_vectors(tensor, eps_out, eps_in, slots=(2, 3))
+def _check_pole(channel: DiagramChannel, q2: np.ndarray, momenta) -> None:
+    if not np.any(np.abs(q2) < POLE_TOLERANCE):
+        return
+    q2, p1, p3 = np.broadcast_arrays(q2[..., None], momenta[0][..., 1:], momenta[2][..., 1:])
+    row = tuple(np.argwhere(np.abs(q2[..., 0]) < POLE_TOLERANCE)[0])
+    theta = math.atan2(np.linalg.norm(np.cross(p1[row], p3[row])), p1[row] @ p3[row])
+    raise PoleError(
+        f"{channel.value}-channel exchange momentum squared {q2[row][0]:.3e} lies "
+        f"within {POLE_TOLERANCE} of the pole at theta = {theta:.6g}"
+    )
 
 
-def _couple_blocks(block1: np.ndarray, block2: np.ndarray) -> float:
-    """Contract two raised vertex blocks through the propagator numerator."""
-    numerator = graviton_propagator_numerator().components
-    return float(np.einsum("mn,mnab,ab->", block1, numerator, block2))
+def channel_amplitudes(momenta, polarizations, *,
+                       vertex_perturbation: float = 0.0) -> np.ndarray:
+    """Reduced t, u and s exchange amplitudes, batched by broadcasting.
+
+    ``momenta`` and ``polarizations`` hold four arrays each, one per photon
+    in order (a sequence, or an array with the photon on its first axis),
+    with contravariant components on the last axis. Their leading shapes
+    broadcast together; the result has that shape plus a last axis t, u, s.
+    Giving each photon's label its own axis yields all 16 patterns while
+    each vertex block is built once per label pair. Polarizations may be
+    arbitrary, e.g. gauge-shifted. Raises PoleError, naming the channel and
+    the angle, where an exchange momentum squared is within POLE_TOLERANCE
+    of zero.
+    """
+    momenta = [np.asarray(v, dtype=np.float64) for v in momenta]
+    polarizations = [np.asarray(v, dtype=np.float64) for v in polarizations]
+    if (len(momenta), len(polarizations)) != (4, 4) or any(
+            v.shape[-1:] != (4,) for v in momenta + polarizations):
+        raise ValueError("need four momenta and four polarizations, each with "
+                         "four components on the last axis")
+    amplitudes = []
+    for channel, vertices, (k, sign) in _CHANNELS:
+        q = momenta[0] + sign * momenta[k]
+        q2 = _mdot(q, q)
+        _check_pole(channel, q2, momenta)
+        block1, block2 = (
+            contracted_vertex(sign_out * momenta[out], sign_in * momenta[into],
+                              polarizations[out], polarizations[into],
+                              perturbation=vertex_perturbation)
+            for out, sign_out, into, sign_in in vertices)
+        amplitudes.append(_DIAGRAM_SIGN * graviton_coupling(block1, block2) / q2)
+    return np.stack(amplitudes, axis=-1)
 
 
-def _raise_block(block: np.ndarray) -> np.ndarray:
-    return METRIC @ block @ METRIC
+def _all_patterns(momenta: np.ndarray, basis: np.ndarray,
+                  vertex_perturbation: float) -> np.ndarray:
+    """Per-channel amplitudes of all 16 patterns, shape leading + (2, 2, 2, 2, 3).
+
+    ``momenta`` (leading + (4, 4)) and ``basis`` (leading + (4, 2, 4)) are
+    indexed by photon first; photon k's label lands on pattern axis k, the
+    layout of AmplitudeMatrix.values.
+    """
+    lead = basis.shape[:-3]
+    moms = [momenta[..., k, None, None, None, None, :] for k in range(4)]
+    pols = [basis[..., k, :, :].reshape(lead + tuple(2 if j == k else 1 for j in range(4)) + (4,))
+            for k in range(4)]
+    return channel_amplitudes(moms, pols, vertex_perturbation=vertex_perturbation)
+
+
+def _config_patterns(config: KinematicConfig, vertex_perturbation: float) -> np.ndarray:
+    momenta = np.array([config.momentum(photon).components for photon in (1, 2, 3, 4)])
+    basis = np.array([[vec.components for vec in pair] for pair in config.polarizations])
+    return _all_patterns(momenta, basis, vertex_perturbation)
 
 
 def diagram_amplitude(channel: DiagramChannel, config: KinematicConfig,
@@ -189,70 +257,53 @@ def diagram_amplitude(channel: DiagramChannel, config: KinematicConfig,
     insensitive to gauge shifts; it still takes all three to reproduce the
     reference table.
     """
-    pols = _check_pols(pols)
-    leg1, leg2, q = _channel_legs(channel, config)
-    q2 = minkowski_dot(q, q)
-    if abs(q2) < POLE_TOLERANCE:
-        raise PoleError(
-            f"{channel.value}-channel exchange momentum squared {q2:.3e} lies "
-            f"within {POLE_TOLERANCE} of the pole"
-        )
-    blocks = []
-    for photon_out, momentum_out, photon_in, momentum_in in (leg1, leg2):
-        tensor = vertex_tensor(momentum_out, momentum_in,
-                               perturbation=vertex_perturbation)
-        eps_out = config.polarization(photon_out, pols[photon_out - 1])
-        eps_in = config.polarization(photon_in, pols[photon_in - 1])
-        blocks.append(_raise_block(_vertex_block(tensor, eps_out, eps_in)))
-    value = _DIAGRAM_SIGN * _couple_blocks(blocks[0], blocks[1]) / q2
-    return complex(value)
+    labels = tuple(label - 1 for label in _check_pols(pols))
+    try:
+        index = _CHANNEL_INDEX[channel]
+    except (KeyError, TypeError):
+        raise TypeError(f"expected a DiagramChannel, got {channel!r}") from None
+    return complex(_config_patterns(config, vertex_perturbation)[labels + (index,)])
 
 
 def amplitude_sum(config: KinematicConfig, pols, *,
                   vertex_perturbation: float = 0.0) -> complex:
     """Sum of the t, u and s exchange diagrams for one polarization pattern."""
-    return sum(
-        diagram_amplitude(channel, config, pols,
-                          vertex_perturbation=vertex_perturbation)
-        for channel in DiagramChannel
-    )
+    labels = tuple(label - 1 for label in _check_pols(pols))
+    return complex(_config_patterns(config, vertex_perturbation)[labels].sum())
 
 
 def diagram_sum_matrix(config: KinematicConfig, *,
                        vertex_perturbation: float = 0.0) -> AmplitudeMatrix:
-    """Three-channel sum for all 16 polarization patterns at once.
-
-    Equivalent to calling ``amplitude_sum`` pattern by pattern, but each of
-    the six vertex tensors is built once and reused across patterns.
-    """
-    values = np.zeros((2, 2, 2, 2), dtype=np.complex128)
-    for channel in DiagramChannel:
-        leg1, leg2, q = _channel_legs(channel, config)
-        q2 = minkowski_dot(q, q)
-        if abs(q2) < POLE_TOLERANCE:
-            raise PoleError(
-                f"{channel.value}-channel exchange momentum squared {q2:.3e} "
-                f"lies within {POLE_TOLERANCE} of the pole"
-            )
-        raised = []
-        for photon_out, momentum_out, photon_in, momentum_in in (leg1, leg2):
-            tensor = vertex_tensor(momentum_out, momentum_in,
-                                   perturbation=vertex_perturbation)
-            blocks = {}
-            for label_out, label_in in itertools.product((1, 2), repeat=2):
-                eps_out = config.polarization(photon_out, label_out)
-                eps_in = config.polarization(photon_in, label_in)
-                blocks[label_out, label_in] = _raise_block(
-                    _vertex_block(tensor, eps_out, eps_in))
-            raised.append((photon_out, photon_in, blocks))
-        out1, in1, blocks1 = raised[0]
-        out2, in2, blocks2 = raised[1]
-        for pattern in itertools.product((1, 2), repeat=4):
-            b1 = blocks1[pattern[out1 - 1], pattern[in1 - 1]]
-            b2 = blocks2[pattern[out2 - 1], pattern[in2 - 1]]
-            index = tuple(label - 1 for label in pattern)
-            values[index] += _DIAGRAM_SIGN * _couple_blocks(b1, b2) / q2
+    """Three-channel sum for all 16 polarization patterns at once."""
+    values = _config_patterns(config, vertex_perturbation).sum(axis=-1)
     return AmplitudeMatrix(config.theta, values)
+
+
+def diagram_sum_grid(theta, *, vertex_perturbation: float = 0.0) -> np.ndarray:
+    """Three-channel sums over a 1-D array of angles, CHUNK_ANGLES at a time.
+
+    Real, shape (N, 2, 2, 2, 2), laid out like AmplitudeMatrix.values.
+    """
+    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+    values = np.empty((theta.size, 2, 2, 2, 2))
+    for start in range(0, theta.size, CHUNK_ANGLES):
+        stop = start + CHUNK_ANGLES
+        values[start:stop] = _all_patterns(*com_arrays(theta[start:stop]),
+                                           vertex_perturbation).sum(axis=-1)
+    return values
+
+
+# Numerators of the closed-form elements, shared by the scalar and the array
+# paths (c = cos(theta) is a float or an array); swapping labels 1 <-> 2
+# leaves each element unchanged.
+_NUMERATORS = {
+    (1, 1, 1, 1): lambda c: -9.0 - 6.0 * c * c - c ** 4,
+    (1, 1, 2, 2): lambda c: 7.0 - 6.0 * c * c - c ** 4,
+    (1, 2, 1, 2): lambda c: -8.0 - 4.0 * c - 4.0 * c ** 3,
+    (1, 2, 2, 1): lambda c: -8.0 + 4.0 * c + 4.0 * c ** 3,
+}
+_NUMERATORS.update({tuple(3 - label for label in pattern): numerator
+                    for pattern, numerator in list(_NUMERATORS.items())})
 
 
 def closed_form_element(pols, theta: float) -> float:
@@ -269,25 +320,11 @@ def closed_form_element(pols, theta: float) -> float:
     Any pattern with an odd number of in-plane labels vanishes identically,
     since the one-sided reflection of the scattering plane flips its sign.
     """
-    pols = _check_pols(pols)
-    theta = float(theta)
-    if not math.isfinite(theta) or not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie strictly between 0 and pi, got {theta}")
-    if sum(pols) % 2 == 1:
+    numerator = _NUMERATORS.get(_check_pols(pols))
+    theta = check_theta(theta)
+    if numerator is None:
         return 0.0
-    c = math.cos(theta)
-    sin_sq = math.sin(theta) ** 2
-    numerators = {
-        (1, 1, 1, 1): -9.0 - 6.0 * c * c - c ** 4,
-        (2, 2, 2, 2): -9.0 - 6.0 * c * c - c ** 4,
-        (1, 1, 2, 2): 7.0 - 6.0 * c * c - c ** 4,
-        (2, 2, 1, 1): 7.0 - 6.0 * c * c - c ** 4,
-        (1, 2, 1, 2): -8.0 - 4.0 * c - 4.0 * c ** 3,
-        (2, 1, 2, 1): -8.0 - 4.0 * c - 4.0 * c ** 3,
-        (1, 2, 2, 1): -8.0 + 4.0 * c + 4.0 * c ** 3,
-        (2, 1, 1, 2): -8.0 + 4.0 * c + 4.0 * c ** 3,
-    }
-    return numerators[pols] / sin_sq
+    return numerator(math.cos(theta)) / math.sin(theta) ** 2
 
 
 def closed_form_matrix(theta: float) -> AmplitudeMatrix:
@@ -297,3 +334,17 @@ def closed_form_matrix(theta: float) -> AmplitudeMatrix:
         index = tuple(label - 1 for label in pattern)
         values[index] = closed_form_element(pattern, theta)
     return AmplitudeMatrix(float(theta), values)
+
+
+def closed_form_grid(theta) -> np.ndarray:
+    """All 16 closed-form elements over a 1-D array of angles.
+
+    Real, shape (N, 2, 2, 2, 2), laid out like AmplitudeMatrix.values.
+    """
+    theta = check_theta(np.asarray(theta, dtype=np.float64).reshape(-1))
+    c = np.cos(theta)
+    sin_sq = np.sin(theta) ** 2
+    values = np.zeros(theta.shape + (2, 2, 2, 2))
+    for pattern, numerator in _NUMERATORS.items():
+        values[(slice(None), *(label - 1 for label in pattern))] = numerator(c) / sin_sq
+    return values

@@ -27,6 +27,7 @@ import numpy as np
 from scipy import constants as _const
 
 from .amplitudes import AmplitudeMatrix, closed_form_element
+from .kinematics import check_theta
 from .qed import QedContext
 
 __all__ = [
@@ -202,13 +203,6 @@ class DcsCurve:
         object.__setattr__(self, "values", values)
 
 
-def _check_theta(theta: float) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta) or not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie strictly between 0 and pi, got {theta}")
-    return theta
-
-
 def _interference_weight(state: TwoPhotonPolState) -> float:
     weight = state.interference_weight
     if weight is None:
@@ -224,7 +218,7 @@ def dcs_averaged(theta: float) -> float:
     32 [1 + cos^16(theta/2) + sin^16(theta/2)] / sin^4(theta), which equals
     one quarter of the mean of |m|^2 over the 16 elements.
     """
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     half = 0.5 * theta
     numerator = 1.0 + math.cos(half) ** 16 + math.sin(half) ** 16
     return 32.0 * numerator / math.sin(theta) ** 4
@@ -240,7 +234,7 @@ def dcs_entangled_pqg(theta: float, state: TwoPhotonPolState) -> float:
     The w = +1 Bell state doubles the product-state value at theta = pi/2
     and the w = -1 one shuts the right-angle rate off entirely.
     """
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     weight = _interference_weight(state)
     g = math.cos(theta) + math.cos(theta) ** 3
     bracket = 4.0 * (1.0 + weight) + (1.0 - weight) * g * g
@@ -254,7 +248,7 @@ def dcs_general_state(theta: float, state: TwoPhotonPolState,
     Evaluates (1/4) sum_{out} |sum_{in} c m|^2 against the supplied
     amplitude matrix, which must have been built at the same angle.
     """
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     if abs(matrix.theta - theta) > 1e-9:
         raise ValueError(
             f"matrix was built at theta={matrix.theta!r}, asked to evaluate at {theta!r}")
@@ -270,7 +264,7 @@ def relative_phase(theta: float, element=None) -> float:
     identically zero; the loop-induced elements share that property. Raises
     if either element is too small to carry a phase.
     """
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     if element is None:
         element = lambda angle: complex(closed_form_element((1, 2, 1, 2), angle))
     forward = complex(element(theta))

@@ -12,12 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .lorentz import FourVector
 
 __all__ = [
     "PERPENDICULAR",
     "PARALLEL",
     "KinematicConfig",
+    "check_theta",
+    "com_arrays",
     "com_config",
     "gauge_shift",
 ]
@@ -74,32 +78,62 @@ class KinematicConfig:
         return replace(self, polarizations=tuple(rows))
 
 
-def com_config(theta: float) -> KinematicConfig:
-    """Build the center-of-momentum configuration at scattering angle theta.
+def check_theta(theta):
+    """Return theta (a float, or an array unchanged) if every angle lies in (0, pi).
+
+    Both ends are exchange poles. Otherwise, NaN included, raise ValueError
+    naming the first angle outside.
+    """
+    if isinstance(theta, np.ndarray) and theta.ndim:
+        outside = theta[~((theta > 0.0) & (theta < math.pi))]
+        if outside.size:
+            raise ValueError(
+                f"theta must lie strictly between 0 and pi, got {float(outside[0])}")
+        return theta
+    theta = float(theta)
+    if not 0.0 < theta < math.pi:
+        raise ValueError(f"theta must lie strictly between 0 and pi, got {theta}")
+    return theta
+
+
+def com_arrays(theta) -> tuple[np.ndarray, np.ndarray]:
+    """Center-of-momentum momenta and polarization basis over an array of angles.
 
     Momenta: p1 = (1, 0, 0, 1), p2 = (1, 0, 0, -1), p3 = (1, sin t, 0, cos t),
     p4 = (1, -sin t, 0, -cos t). The in-plane polarization of a photon moving
     at angle psi inside the x-z plane is (0, cos psi, 0, -sin psi); psi takes
-    the values 0, pi, theta and theta + pi for photons 1 through 4. theta must
-    lie strictly between 0 and pi so that both exchange poles stay excluded.
+    the values 0, pi, theta and theta + pi for photons 1 through 4.
+
+    Returns momenta indexed [..., photon - 1, component] and polarizations
+    indexed [..., photon - 1, label - 1, component], with theta's shape first.
     """
-    theta = float(theta)
-    if not math.isfinite(theta) or not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie strictly between 0 and pi, got {theta}")
-    st = math.sin(theta)
-    ct = math.cos(theta)
-    p1 = FourVector(1.0, 0.0, 0.0, 1.0)
-    p2 = FourVector(1.0, 0.0, 0.0, -1.0)
-    p3 = FourVector(1.0, st, 0.0, ct)
-    p4 = FourVector(1.0, -st, 0.0, -ct)
-    perp = FourVector(0.0, 0.0, 1.0, 0.0)
-    in_plane = (
-        FourVector(0.0, 1.0, 0.0, 0.0),
-        FourVector(0.0, -1.0, 0.0, 0.0),
-        FourVector(0.0, ct, 0.0, -st),
-        FourVector(0.0, -ct, 0.0, st),
-    )
-    polarizations = tuple((perp, vec) for vec in in_plane)
+    theta = check_theta(np.asarray(theta, dtype=np.float64))
+    st, ct = np.sin(theta), np.cos(theta)
+    one, zero = np.ones_like(theta), np.zeros_like(theta)
+
+    def vectors(*rows):
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+    momenta = vectors((one, zero, zero, one), (one, zero, zero, -one),
+                      (one, st, zero, ct), (one, -st, zero, -ct))
+    perp = (zero, zero, one, zero)
+    in_plane = ((zero, one, zero, zero), (zero, -one, zero, zero),
+                (zero, ct, zero, -st), (zero, -ct, zero, st))
+    polarizations = np.stack([vectors(perp, vec) for vec in in_plane], axis=-3)
+    return momenta, polarizations
+
+
+def com_config(theta: float) -> KinematicConfig:
+    """Build the center-of-momentum configuration at scattering angle theta.
+
+    The vectors are those of ``com_arrays`` at one angle. theta must lie
+    strictly between 0 and pi so that both exchange poles stay excluded.
+    """
+    theta = check_theta(theta)
+    momenta, basis = com_arrays(theta)
+    p1, p2, p3, p4 = (FourVector.from_array(row) for row in momenta)
+    polarizations = tuple(tuple(FourVector.from_array(vec) for vec in pair)
+                          for pair in basis)
     return KinematicConfig(theta, p1, p2, p3, p4, polarizations)
 
 

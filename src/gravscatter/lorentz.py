@@ -1,4 +1,4 @@
-"""Minkowski four-vectors and dense rank-4 tensors.
+"""Minkowski four-vectors and the metric.
 
 Conventions shared by the whole package: metric signature (+, -, -, -),
 components ordered (t, x, y, z), natural units hbar = c = 1 with all photon
@@ -15,10 +15,8 @@ import numpy as np
 __all__ = [
     "METRIC",
     "FourVector",
-    "Rank4Tensor",
     "minkowski_dot",
     "lower_index",
-    "contract_rank4_vectors",
 ]
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -99,30 +97,6 @@ class FourVector:
         return f"FourVector({t!r}, {x!r}, {y!r}, {z!r})"
 
 
-class Rank4Tensor:
-    """Dense rank-4 Lorentz tensor, all four indices covariant."""
-
-    __slots__ = ("_components",)
-
-    def __init__(self, components):
-        array = np.array(components, dtype=np.float64)
-        if array.shape != (4, 4, 4, 4):
-            raise ValueError(f"expected shape (4, 4, 4, 4), got {array.shape}")
-        if not np.all(np.isfinite(array)):
-            raise ValueError("all 256 tensor entries must be finite")
-        self._components = _frozen(array)
-
-    @property
-    def components(self) -> np.ndarray:
-        return self._components
-
-    def __getitem__(self, index):
-        return self._components[index]
-
-    def __repr__(self):
-        return f"Rank4Tensor({self._components!r})"
-
-
 def minkowski_dot(a: FourVector, b: FourVector) -> float:
     """a . b = a^0 b^0 - a^1 b^1 - a^2 b^2 - a^3 b^3."""
     u = a.components
@@ -136,30 +110,3 @@ def lower_index(v: FourVector) -> FourVector:
     Applying the function twice restores the original vector.
     """
     return FourVector(v.t, -v.x, -v.y, -v.z)
-
-
-def contract_rank4_vectors(tensor: Rank4Tensor, a: FourVector, b: FourVector,
-                           slots: tuple[int, int]) -> np.ndarray:
-    """Contract two tensor slots against the contravariant components of a and b.
-
-    ``slots`` picks two distinct index positions of the tensor (0-based); the
-    first receives ``a``, the second ``b``. Covariant tensor slots pair with
-    contravariant vector components directly, so no extra metric factor
-    appears. The surviving rank-2 block is returned as a plain (4, 4) array
-    with the free indices in their original order.
-    """
-    try:
-        i, j = slots
-    except (TypeError, ValueError):
-        raise ValueError(f"slots must be a pair of index positions, got {slots!r}") from None
-    if i not in range(4) or j not in range(4):
-        raise ValueError(f"slot positions must lie in 0..3, got {slots!r}")
-    if i == j:
-        raise ValueError(f"slot positions must be distinct, got {slots!r}")
-    base = ["m", "n", "p", "q"]
-    inputs = list(base)
-    inputs[i] = "a"
-    inputs[j] = "b"
-    outputs = [base[k] for k in range(4) if k not in (i, j)]
-    subscripts = f"{''.join(inputs)},a,b->{''.join(outputs)}"
-    return np.einsum(subscripts, tensor.components, a.components, b.components)

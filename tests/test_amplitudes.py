@@ -8,17 +8,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gravscatter.amplitudes import (
+    CHUNK_ANGLES,
     AmplitudeMatrix,
     DiagramChannel,
     PoleError,
     amplitude_sum,
     closed_form_element,
+    closed_form_grid,
     closed_form_matrix,
+    contracted_vertex,
     diagram_amplitude,
+    diagram_sum_grid,
     diagram_sum_matrix,
-    graviton_propagator_numerator,
-    vertex_tensor,
+    graviton_coupling,
 )
+from gravscatter.cli import build_verify_report
 from gravscatter.kinematics import com_config, gauge_shift
 from gravscatter.lorentz import METRIC, FourVector, minkowski_dot
 
@@ -42,6 +46,33 @@ def _vertex_entry_reference(p_out, p_in, m, n, b, a):
     return value
 
 
+def _vertex_tensor_reference(p_out, p_in, perturbation=0.0):
+    """All 256 vertex entries, with the metric-pair term scaled by (1 + perturbation)."""
+    tensor = np.empty((4, 4, 4, 4))
+    for m, n, b, a in itertools.product(range(4), repeat=4):
+        tensor[m, n, b, a] = _vertex_entry_reference(p_out, p_in, m, n, b, a)
+    dot = float(p_out @ _ETA @ p_in)
+    pair = np.einsum("ma,nb->mnba", _ETA, _ETA) + np.einsum("mb,na->mnba", _ETA, _ETA)
+    return tensor - perturbation * dot * pair
+
+
+def _block_reference(tensor, eps_out, eps_in):
+    """Covariant photon slots (beta, alpha) against contravariant polarizations."""
+    return np.einsum("mnba,b,a->mn", tensor, eps_out, eps_in)
+
+
+# Harmonic-gauge numerator P_{mu nu alpha beta}, all indices covariant.
+_PROPAGATOR = 0.5 * (np.einsum("ma,nb->mnab", _ETA, _ETA)
+                     + np.einsum("mb,na->mnab", _ETA, _ETA)
+                     - np.einsum("mn,ab->mnab", _ETA, _ETA))
+
+
+def _coupling_reference(block1, block2):
+    raised1 = _ETA @ block1 @ _ETA
+    raised2 = _ETA @ block2 @ _ETA
+    return float(np.einsum("mn,mnab,ab->", raised1, _PROPAGATOR, raised2))
+
+
 def _random_null_momentum(rng):
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
@@ -49,80 +80,122 @@ def _random_null_momentum(rng):
     return FourVector(energy, *(energy * direction))
 
 
+def _random_legs(rng, rows):
+    """Null momenta and arbitrary, non-transverse polarizations, (rows, 4) each."""
+    p_out = np.array([_random_null_momentum(rng).components for _ in range(rows)])
+    p_in = np.array([_random_null_momentum(rng).components for _ in range(rows)])
+    return p_out, p_in, rng.normal(size=(rows, 4)), rng.normal(size=(rows, 4))
+
+
+def _random_symmetric_blocks(rng, rows):
+    raw = rng.normal(size=(rows, 4, 4))
+    return raw + raw.swapaxes(1, 2)
+
+
 class TestVertexTensor:
+    """The contracted vertex block against the full tensor built here."""
+
     def test_entries_match_term_by_term_reference(self):
         rng = np.random.default_rng(21)
-        for _ in range(20):
-            p_out = _random_null_momentum(rng)
-            p_in = _random_null_momentum(rng)
-            tensor = vertex_tensor(p_out, p_in)
-            reference = np.empty((4, 4, 4, 4))
-            for m, n, b, a in itertools.product(range(4), repeat=4):
-                reference[m, n, b, a] = _vertex_entry_reference(
-                    p_out.components, p_in.components, m, n, b, a)
-            assert_allclose(tensor.components, reference, rtol=1e-13, atol=1e-13)
+        p_out, p_in, eps_out, eps_in = _random_legs(rng, 20)
+        for perturbation in (0.0, 0.5, -1e-3):
+            blocks = contracted_vertex(p_out, p_in, eps_out, eps_in,
+                                       perturbation=perturbation)
+            for row in range(20):
+                tensor = _vertex_tensor_reference(p_out[row], p_in[row], perturbation)
+                reference = _block_reference(tensor, eps_out[row], eps_in[row])
+                scale = float(np.max(np.abs(reference)))
+                assert_allclose(blocks[row], reference, rtol=1e-12, atol=1e-12 * scale)
 
     def test_symmetric_in_graviton_indices(self):
-        rng = np.random.default_rng(22)
-        tensor = vertex_tensor(_random_null_momentum(rng), _random_null_momentum(rng))
-        assert np.array_equal(tensor.components,
-                              tensor.components.transpose(1, 0, 2, 3))
+        blocks = contracted_vertex(*_random_legs(np.random.default_rng(22), 10))
+        assert np.array_equal(blocks, blocks.swapaxes(1, 2))
 
     def test_bilinear_in_momenta(self):
-        rng = np.random.default_rng(23)
-        p_out = _random_null_momentum(rng)
-        p_in = _random_null_momentum(rng)
-        scaled = vertex_tensor(3.0 * p_out, -2.0 * p_in)
-        assert_allclose(scaled.components, -6.0 * vertex_tensor(p_out, p_in).components,
+        p_out, p_in, eps_out, eps_in = _random_legs(np.random.default_rng(23), 10)
+        scaled = contracted_vertex(3.0 * p_out, -2.0 * p_in, eps_out, eps_in)
+        assert_allclose(scaled, -6.0 * contracted_vertex(p_out, p_in, eps_out, eps_in),
                         rtol=1e-12, atol=1e-12)
 
     def test_sign_flip_is_exact(self):
-        rng = np.random.default_rng(24)
-        p_out = _random_null_momentum(rng)
-        p_in = _random_null_momentum(rng)
-        flipped = vertex_tensor(-p_out, p_in)
-        assert np.array_equal(flipped.components, -vertex_tensor(p_out, p_in).components)
+        p_out, p_in, eps_out, eps_in = _random_legs(np.random.default_rng(24), 10)
+        base = contracted_vertex(p_out, p_in, eps_out, eps_in)
+        assert np.array_equal(contracted_vertex(-p_out, p_in, eps_out, eps_in), -base)
+        assert np.array_equal(contracted_vertex(p_out, -p_in, eps_out, eps_in), -base)
 
     def test_perturbation_rescales_metric_pair_term(self):
-        rng = np.random.default_rng(25)
-        p_out = _random_null_momentum(rng)
-        p_in = _random_null_momentum(rng)
-        base = vertex_tensor(p_out, p_in).components
-        bumped = vertex_tensor(p_out, p_in, perturbation=0.5).components
-        dot = minkowski_dot(p_out, p_in)
-        pair = np.einsum("ma,nb->mnba", _ETA, _ETA) + np.einsum("mb,na->mnba", _ETA, _ETA)
-        assert_allclose(bumped, base - 0.5 * dot * pair, rtol=1e-12, atol=1e-12)
+        p_out, p_in, eps_out, eps_in = _random_legs(np.random.default_rng(25), 10)
+        base = contracted_vertex(p_out, p_in, eps_out, eps_in)
+        bumped = contracted_vertex(p_out, p_in, eps_out, eps_in, perturbation=0.5)
+        dot = np.einsum("rm,mn,rn->r", p_out, _ETA, p_in)
+        e_low = eps_out @ _ETA
+        f_low = eps_in @ _ETA
+        pair = np.einsum("rm,rn->rmn", e_low, f_low) + np.einsum("rm,rn->rmn", f_low, e_low)
+        assert_allclose(bumped, base - 0.5 * dot[:, None, None] * pair,
+                        rtol=1e-12, atol=1e-12)
 
 
 class TestPropagatorNumerator:
+    """The block coupling against the numerator P contracted in full."""
+
+    @staticmethod
+    def _unit_block(m, n):
+        block = np.zeros((4, 4))
+        block[m, n] += 1.0
+        block[n, m] += 1.0 if m != n else 0.0
+        return block
+
     def test_selected_entries(self):
-        p = graviton_propagator_numerator().components
-        assert p[0, 0, 0, 0] == 0.5
-        assert p[0, 1, 0, 1] == -0.5
-        assert p[1, 1, 0, 0] == 0.5
-        assert p[1, 2, 1, 2] == 0.5
-        assert p[0, 0, 1, 1] == 0.5
-        assert p[0, 1, 2, 3] == 0.0
+        assert _PROPAGATOR[0, 0, 0, 0] == 0.5
+        assert _PROPAGATOR[0, 1, 0, 1] == -0.5
+        assert _PROPAGATOR[1, 1, 0, 0] == 0.5
+        assert _PROPAGATOR[1, 2, 1, 2] == 0.5
+        assert _PROPAGATOR[0, 1, 2, 3] == 0.0
+        # symmetric unit blocks pick out (sums of) raised numerator entries
+        unit = self._unit_block
+        assert graviton_coupling(unit(0, 0), unit(0, 0)) == 0.5
+        assert graviton_coupling(unit(1, 1), unit(0, 0)) == 0.5
+        assert graviton_coupling(unit(0, 1), unit(0, 1)) == -2.0
+        assert graviton_coupling(unit(1, 2), unit(1, 2)) == 2.0
+        assert graviton_coupling(unit(0, 1), unit(2, 3)) == 0.0
+        for pair1, pair2 in itertools.product(
+                itertools.combinations_with_replacement(range(4), 2), repeat=2):
+            assert graviton_coupling(unit(*pair1), unit(*pair2)) == \
+                _coupling_reference(unit(*pair1), unit(*pair2))
 
     def test_index_symmetries(self):
-        p = graviton_propagator_numerator().components
-        assert np.array_equal(p, p.transpose(1, 0, 2, 3))
-        assert np.array_equal(p, p.transpose(0, 1, 3, 2))
-        assert np.array_equal(p, p.transpose(2, 3, 0, 1))
+        assert np.array_equal(_PROPAGATOR, _PROPAGATOR.transpose(1, 0, 2, 3))
+        assert np.array_equal(_PROPAGATOR, _PROPAGATOR.transpose(0, 1, 3, 2))
+        assert np.array_equal(_PROPAGATOR, _PROPAGATOR.transpose(2, 3, 0, 1))
+        rng = np.random.default_rng(26)
+        block1 = _random_symmetric_blocks(rng, 10)
+        block2 = _random_symmetric_blocks(rng, 10)
+        assert np.array_equal(graviton_coupling(block1, block2),
+                              graviton_coupling(block2, block1))
 
     def test_trace_identity(self):
         # eta^{mu nu} P_{mu nu alpha beta} = -eta_{alpha beta}, by explicit loops
-        p = graviton_propagator_numerator().components
         trace = np.zeros((4, 4))
-        for a in range(4):
-            for b in range(4):
-                for m in range(4):
-                    for n in range(4):
-                        trace[a, b] += METRIC[m, n] * p[m, n, a, b]
+        for a, b, m, n in itertools.product(range(4), repeat=4):
+            trace[a, b] += METRIC[m, n] * _PROPAGATOR[m, n, a, b]
         assert np.array_equal(trace, -METRIC)
+        # so coupling the metric itself to a block returns minus its trace
+        blocks = _random_symmetric_blocks(np.random.default_rng(27), 10)
+        traces = np.einsum("rmn,mn->r", blocks, _ETA)
+        assert_allclose(graviton_coupling(METRIC, blocks), -traces, rtol=1e-13, atol=1e-13)
 
-    def test_cached(self):
-        assert graviton_propagator_numerator() is graviton_propagator_numerator()
+    def test_coupling_matches_propagator_einsum(self):
+        rng = np.random.default_rng(28)
+        random1 = _random_symmetric_blocks(rng, 20)
+        random2 = _random_symmetric_blocks(rng, 20)
+        vertex1 = contracted_vertex(*_random_legs(rng, 20))
+        vertex2 = contracted_vertex(*_random_legs(rng, 20))
+        for block1, block2 in ((random1, random2), (vertex1, vertex2)):
+            coupled = graviton_coupling(block1, block2)
+            for row in range(20):
+                reference = _coupling_reference(block1[row], block2[row])
+                scale = float(np.sum(np.abs(block1[row])) * np.sum(np.abs(block2[row])))
+                assert abs(coupled[row] - reference) <= 1e-12 * scale
 
 
 class TestExchangeMomenta:
@@ -152,6 +225,12 @@ class TestExchangeMomenta:
 
     def test_pole_error_is_value_error(self):
         assert issubclass(PoleError, ValueError)
+
+    @pytest.mark.parametrize("theta, channel, shown", [
+        (1e-6, "t", "1e-06"), (math.pi - 1e-6, "u", "3.14159")])
+    def test_grid_pole_error_names_channel_and_angle(self, theta, channel, shown):
+        with pytest.raises(PoleError, match=f"{channel}-channel .* theta = {shown}"):
+            diagram_sum_grid([1.0, theta])
 
 
 class TestDiagramSum:
@@ -250,6 +329,32 @@ class TestDiagramSum:
             amplitude_sum(config, (1, 2, 1))
 
 
+class TestDiagramSumGrid:
+    @pytest.mark.parametrize("samples", [1, CHUNK_ANGLES - 1, CHUNK_ANGLES,
+                                         CHUNK_ANGLES + 1, 1000])
+    def test_matches_per_angle_matrices(self, samples):
+        grid = np.linspace(0.05, math.pi - 0.05, samples)
+        batched = diagram_sum_grid(grid)
+        assert batched.shape == (samples, 2, 2, 2, 2)
+        for theta, values in zip(grid, batched):
+            single = diagram_sum_matrix(com_config(float(theta))).values.real
+            scale = float(np.max(np.abs(single)))
+            assert np.max(np.abs(values - single)) <= 1e-12 * scale
+
+    def test_perturbed_vertex_fails_the_gate_across_chunks(self):
+        report = build_verify_report(samples=CHUNK_ANGLES + 1, vertex_perturbation=1e-3)
+        assert not report.passed
+        assert report.pattern_deviations["1212"] > report.tolerance
+        assert report.gauge_deviation > report.gauge_tolerance
+
+    def test_domain_errors(self):
+        for theta in (0.0, math.pi, math.nan):
+            with pytest.raises(ValueError, match="strictly between 0 and pi"):
+                diagram_sum_grid([1.0, theta])
+            with pytest.raises(ValueError, match="strictly between 0 and pi"):
+                closed_form_grid([1.0, theta])
+
+
 class TestClosedForm:
     def test_right_angle_table(self):
         theta = math.pi / 2
@@ -290,6 +395,16 @@ class TestClosedForm:
         for theta in (0.0, math.pi, -1.0, math.nan):
             with pytest.raises(ValueError):
                 closed_form_element((1, 1, 1, 1), theta)
+
+    def test_grid_matches_scalar_elements(self):
+        # near the poles 1212 and 1221 cancel, so one ulp of cos is scored
+        # against the largest element at that angle
+        grid = np.linspace(0.01, math.pi - 0.01, 37)
+        for theta, row in zip(grid, closed_form_grid(grid)):
+            scale = float(np.max(np.abs(row)))
+            for pattern in ALL_PATTERNS:
+                got = row[tuple(label - 1 for label in pattern)]
+                assert abs(got - closed_form_element(pattern, float(theta))) <= 1e-14 * scale
 
     def test_matrix_is_real_and_consistent(self):
         theta = 0.8

@@ -11,6 +11,8 @@ from numpy.testing import assert_allclose
 from gravscatter.kinematics import (
     PARALLEL,
     PERPENDICULAR,
+    check_theta,
+    com_arrays,
     com_config,
     gauge_shift,
 )
@@ -116,6 +118,32 @@ def test_mandelstam_relations_on_grid():
 def test_domain_errors(theta):
     with pytest.raises(ValueError):
         com_config(theta)
+
+
+def test_check_theta_scalars_and_arrays():
+    assert check_theta(1) == 1.0 and isinstance(check_theta(1), float)
+    grid = np.array([0.1, 1.0, 3.0])
+    assert check_theta(grid) is grid
+    for bad in (0.0, math.pi, math.nan, -math.inf):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            check_theta(bad)
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            check_theta(np.array([0.5, bad, 0.7]))
+
+
+def test_com_arrays_match_config_on_any_shape():
+    grid = np.array([[0.3, 1.2], [2.0, 2.9]])
+    momenta, basis = com_arrays(grid)
+    assert momenta.shape == (2, 2, 4, 4)
+    assert basis.shape == (2, 2, 4, 2, 4)
+    config = com_config(2.0)
+    for photon in (1, 2, 3, 4):
+        assert_allclose(momenta[1, 0, photon - 1], config.momentum(photon).components,
+                        rtol=0.0, atol=1e-15)
+        for label in (PERPENDICULAR, PARALLEL):
+            assert_allclose(basis[1, 0, photon - 1, label - 1],
+                            config.polarization(photon, label).components,
+                            rtol=0.0, atol=1e-15)
 
 
 def test_accessor_validation():

@@ -1,6 +1,5 @@
-"""Four-vector and rank-4 tensor plumbing."""
+"""Four-vector plumbing."""
 
-import itertools
 import math
 
 import numpy as np
@@ -12,24 +11,12 @@ from numpy.testing import assert_allclose
 from gravscatter.lorentz import (
     METRIC,
     FourVector,
-    Rank4Tensor,
-    contract_rank4_vectors,
     lower_index,
     minkowski_dot,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
-
-
-def _contract_loops(tensor: np.ndarray, a: np.ndarray, b: np.ndarray,
-                    slots: tuple[int, int]) -> np.ndarray:
-    """Quadruple-loop reference for contract_rank4_vectors."""
-    free = [k for k in range(4) if k not in slots]
-    out = np.zeros((4, 4))
-    for idx in itertools.product(range(4), repeat=4):
-        out[idx[free[0]], idx[free[1]]] += tensor[idx] * a[idx[slots[0]]] * b[idx[slots[1]]]
-    return out
 
 
 class TestMetric:
@@ -133,70 +120,3 @@ class TestLowerIndex:
             b = FourVector.from_array(rng.normal(size=4))
             via_lower = float(lower_index(a).components @ b.components)
             assert_allclose(via_lower, minkowski_dot(a, b), rtol=1e-13, atol=1e-13)
-
-
-class TestRank4Tensor:
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            Rank4Tensor(np.zeros((4, 4)))
-
-    def test_rejects_non_finite(self):
-        values = np.zeros((4, 4, 4, 4))
-        values[1, 2, 3, 0] = math.nan
-        with pytest.raises(ValueError):
-            Rank4Tensor(values)
-
-    def test_read_only(self):
-        tensor = Rank4Tensor(np.zeros((4, 4, 4, 4)))
-        with pytest.raises(ValueError):
-            tensor.components[0, 0, 0, 0] = 1.0
-
-    def test_indexing(self):
-        values = np.zeros((4, 4, 4, 4))
-        values[1, 2, 3, 0] = 7.0
-        tensor = Rank4Tensor(values)
-        assert tensor[1, 2, 3, 0] == 7.0
-
-
-class TestContractRank4Vectors:
-    def test_single_entry(self):
-        values = np.zeros((4, 4, 4, 4))
-        values[0, 1, 2, 3] = 5.0
-        tensor = Rank4Tensor(values)
-        a = FourVector(0.0, 0.0, 1.0, 0.0)
-        b = FourVector(0.0, 0.0, 0.0, 1.0)
-        block = contract_rank4_vectors(tensor, a, b, slots=(2, 3))
-        expected = np.zeros((4, 4))
-        expected[0, 1] = 5.0
-        assert np.array_equal(block, expected)
-
-    def test_matches_quadruple_loops(self):
-        rng = np.random.default_rng(11)
-        slot_pairs = list(itertools.permutations(range(4), 2))
-        for trial in range(100):
-            tensor = Rank4Tensor(rng.normal(size=(4, 4, 4, 4)))
-            a = FourVector.from_array(rng.normal(size=4))
-            b = FourVector.from_array(rng.normal(size=4))
-            slots = slot_pairs[trial % len(slot_pairs)]
-            block = contract_rank4_vectors(tensor, a, b, slots=slots)
-            reference = _contract_loops(tensor.components, a.components,
-                                        b.components, slots)
-            assert_allclose(block, reference, rtol=1e-13, atol=1e-13)
-
-    def test_bilinearity(self):
-        rng = np.random.default_rng(12)
-        tensor = Rank4Tensor(rng.normal(size=(4, 4, 4, 4)))
-        a1 = FourVector.from_array(rng.normal(size=4))
-        a2 = FourVector.from_array(rng.normal(size=4))
-        b = FourVector.from_array(rng.normal(size=4))
-        combined = contract_rank4_vectors(tensor, a1 + 3.0 * a2, b, slots=(2, 3))
-        split = (contract_rank4_vectors(tensor, a1, b, slots=(2, 3))
-                 + 3.0 * contract_rank4_vectors(tensor, a2, b, slots=(2, 3)))
-        assert_allclose(combined, split, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("slots", [(1, 1), (0, 4), (-1, 2), (0,), (0, 1, 2)])
-    def test_invalid_slots(self, slots):
-        tensor = Rank4Tensor(np.zeros((4, 4, 4, 4)))
-        v = FourVector(1.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            contract_rank4_vectors(tensor, v, v, slots=slots)
