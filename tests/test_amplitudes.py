@@ -25,35 +25,13 @@ from gravscatter.amplitudes import (
 from gravscatter.cli import build_verify_report
 from gravscatter.kinematics import com_config, gauge_shift
 from gravscatter.lorentz import METRIC, FourVector, minkowski_dot
+from vertex_reference import vertex_tensor_reference
 
 ALL_PATTERNS = tuple(itertools.product((1, 2), repeat=4))
 NONZERO_PATTERNS = tuple(p for p in ALL_PATTERNS if sum(p) % 2 == 0)
 ZERO_PATTERNS = tuple(p for p in ALL_PATTERNS if sum(p) % 2 == 1)
 
 _ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-
-
-def _vertex_entry_reference(p_out, p_in, m, n, b, a):
-    """Literal term-by-term transcription of the five vertex contributions."""
-    ql = _ETA @ p_out
-    pl = _ETA @ p_in
-    s = float(p_out @ _ETA @ p_in)
-    value = ql[a] * pl[m] * _ETA[b, n] + ql[a] * pl[n] * _ETA[b, m]
-    value += pl[b] * ql[m] * _ETA[a, n] + pl[b] * ql[n] * _ETA[a, m]
-    value -= _ETA[a, b] * (ql[m] * pl[n] + pl[m] * ql[n])
-    value += s * _ETA[m, n] * _ETA[a, b] - _ETA[m, n] * pl[b] * ql[a]
-    value -= s * (_ETA[m, a] * _ETA[n, b] + _ETA[m, b] * _ETA[n, a])
-    return value
-
-
-def _vertex_tensor_reference(p_out, p_in, perturbation=0.0):
-    """All 256 vertex entries, with the metric-pair term scaled by (1 + perturbation)."""
-    tensor = np.empty((4, 4, 4, 4))
-    for m, n, b, a in itertools.product(range(4), repeat=4):
-        tensor[m, n, b, a] = _vertex_entry_reference(p_out, p_in, m, n, b, a)
-    dot = float(p_out @ _ETA @ p_in)
-    pair = np.einsum("ma,nb->mnba", _ETA, _ETA) + np.einsum("mb,na->mnba", _ETA, _ETA)
-    return tensor - perturbation * dot * pair
 
 
 def _block_reference(tensor, eps_out, eps_in):
@@ -102,7 +80,7 @@ class TestVertexTensor:
             blocks = contracted_vertex(p_out, p_in, eps_out, eps_in,
                                        perturbation=perturbation)
             for row in range(20):
-                tensor = _vertex_tensor_reference(p_out[row], p_in[row], perturbation)
+                tensor = vertex_tensor_reference(p_out[row], p_in[row], perturbation)
                 reference = _block_reference(tensor, eps_out[row], eps_in[row])
                 scale = float(np.max(np.abs(reference)))
                 assert_allclose(blocks[row], reference, rtol=1e-12, atol=1e-12 * scale)

@@ -1,5 +1,6 @@
 """Four-vector plumbing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gravscatter.amplitudes import channel_amplitudes, contracted_vertex
 from gravscatter.lorentz import (
     METRIC,
     FourVector,
     lower_index,
     minkowski_dot,
 )
+from vertex_reference import vertex_tensor_reference
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -120,3 +123,55 @@ class TestLowerIndex:
             b = FourVector.from_array(rng.normal(size=4))
             via_lower = float(lower_index(a).components @ b.components)
             assert_allclose(via_lower, minkowski_dot(a, b), rtol=1e-13, atol=1e-13)
+
+
+def _contract_loops(tensor: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quadruple-loop contraction of the two photon slots (beta, alpha)."""
+    out = np.zeros((4, 4))
+    for m, n, beta, alpha in itertools.product(range(4), repeat=4):
+        out[m, n] += tensor[m, n, beta, alpha] * a[beta] * b[alpha]
+    return out
+
+
+class TestContractRank4Vectors:
+    """The rank-4 vertex contracted with two four-vectors, in closed form."""
+
+    def test_single_entry(self):
+        rng = np.random.default_rng(11)
+        q, p = rng.normal(size=(2, 4))
+        tensor = vertex_tensor_reference(q, p)
+        unit = np.eye(4)
+        for beta, alpha in itertools.product(range(4), repeat=2):
+            block = contracted_vertex(q, p, unit[beta], unit[alpha])
+            assert_allclose(block, tensor[:, :, beta, alpha], rtol=1e-13, atol=1e-13)
+
+    def test_matches_quadruple_loops(self):
+        rng = np.random.default_rng(12)
+        for perturbation in (0.0, 0.5, -1e-3) * 5:
+            q, p, a, b = rng.normal(size=(4, 4))
+            block = contracted_vertex(q, p, a, b, perturbation=perturbation)
+            reference = _contract_loops(vertex_tensor_reference(q, p, perturbation), a, b)
+            assert_allclose(block, reference, rtol=1e-12, atol=1e-12)
+
+    def test_bilinearity(self):
+        q, p, a1, a2, b1, b2 = np.random.default_rng(13).normal(size=(6, 4))
+        combined = contracted_vertex(q, p, a1 + 3.0 * a2, b1)
+        split = contracted_vertex(q, p, a1, b1) + 3.0 * contracted_vertex(q, p, a2, b1)
+        assert_allclose(combined, split, rtol=1e-12, atol=1e-12)
+        combined = contracted_vertex(q, p, a1, b1 - 2.0 * b2)
+        split = contracted_vertex(q, p, a1, b1) - 2.0 * contracted_vertex(q, p, a1, b2)
+        assert_allclose(combined, split, rtol=1e-12, atol=1e-12)
+
+    # Shapes of the polarizations filling the photon slots: each must be a
+    # four-vector, and there must be one per photon.
+    @pytest.mark.parametrize("slots", [
+        ((4,), (4,), (4,), (3,)),
+        ((4,), (4,), (4,), (5,)),
+        ((4,), (4,), (4,), ()),
+        ((4,), (4,), (4,)),
+        ((4,), (4,), (4,), (4,), (4,)),
+    ])
+    def test_invalid_slots(self, slots):
+        momenta = np.ones((4, 4))
+        with pytest.raises(ValueError, match="four polarizations"):
+            channel_amplitudes(momenta, [np.ones(shape) for shape in slots])
