@@ -295,12 +295,15 @@ def diagram_sum_grid(theta, *, vertex_perturbation: float = 0.0) -> np.ndarray:
 
 # Numerators of the closed-form elements, shared by the scalar and the array
 # paths (c = cos(theta) is a float or an array); swapping labels 1 <-> 2
-# leaves each element unchanged.
+# leaves each element unchanged. Powers of a per-angle value use
+# np.float_power, never `**`: on an array numpy's `**` may run a SIMD pow
+# that differs from the scalar pow in the last bit, and np.float_power keeps
+# every array element equal to the float its angle gives alone.
 _NUMERATORS = {
-    (1, 1, 1, 1): lambda c: -9.0 - 6.0 * c * c - c ** 4,
-    (1, 1, 2, 2): lambda c: 7.0 - 6.0 * c * c - c ** 4,
-    (1, 2, 1, 2): lambda c: -8.0 - 4.0 * c - 4.0 * c ** 3,
-    (1, 2, 2, 1): lambda c: -8.0 + 4.0 * c + 4.0 * c ** 3,
+    (1, 1, 1, 1): lambda c: -9.0 - 6.0 * c * c - np.float_power(c, 4),
+    (1, 1, 2, 2): lambda c: 7.0 - 6.0 * c * c - np.float_power(c, 4),
+    (1, 2, 1, 2): lambda c: -8.0 - 4.0 * c - 4.0 * np.float_power(c, 3),
+    (1, 2, 2, 1): lambda c: -8.0 + 4.0 * c + 4.0 * np.float_power(c, 3),
 }
 _NUMERATORS.update({tuple(3 - label for label in pattern): numerator
                     for pattern, numerator in list(_NUMERATORS.items())})
@@ -324,7 +327,7 @@ def closed_form_element(pols, theta: float) -> float:
     theta = check_theta(theta)
     if numerator is None:
         return 0.0
-    return numerator(math.cos(theta)) / math.sin(theta) ** 2
+    return float(numerator(np.cos(theta)) / np.float_power(np.sin(theta), 2))
 
 
 def closed_form_matrix(theta: float) -> AmplitudeMatrix:
@@ -343,7 +346,7 @@ def closed_form_grid(theta) -> np.ndarray:
     """
     theta = check_theta(np.asarray(theta, dtype=np.float64).reshape(-1))
     c = np.cos(theta)
-    sin_sq = np.sin(theta) ** 2
+    sin_sq = np.float_power(np.sin(theta), 2)
     values = np.zeros(theta.shape + (2, 2, 2, 2))
     for pattern, numerator in _NUMERATORS.items():
         values[(slice(None), *(label - 1 for label in pattern))] = numerator(c) / sin_sq

@@ -4,7 +4,10 @@ Subcommands cover amplitude tables, gravitational and loop-induced cross
 section scans, coincidence-fringe scans, SI magnitude summaries and the
 verification gate that replays the diagram evaluation against the closed
 forms. All angles are radians. Exit codes: 0 on success, 1 when verification
-fails, 2 on usage errors.
+fails, 2 on usage errors, a grid that reaches a pole included.
+
+Each scan computes its table as named numpy columns, one array per column,
+and hands them to one writer for CSV or JSON.
 """
 
 from __future__ import annotations
@@ -18,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import (
-    channel_amplitudes,
-    closed_form_element,
-    closed_form_grid,
-    diagram_sum_grid,
-)
+from .amplitudes import PoleError, channel_amplitudes, closed_form_grid, diagram_sum_grid
 from .coincidence import CoincidenceQuery, coincidence_factor
 from .cross_sections import (
     TwoPhotonPolState,
@@ -49,29 +47,66 @@ _PATTERNS = tuple(itertools.product((1, 2), repeat=4))
 _PATTERN_NAMES = tuple("".join(str(label) for label in pattern) for pattern in _PATTERNS)
 _NONZERO_LABELS = np.array([p for p in _PATTERNS if sum(p) % 2 == 0]) - 1
 _GAUGE_ANGLES = 10
+_CANONICAL_STATES = {"dcs_product": TwoPhotonPolState.from_angles(0.0, 0.0),
+                     "dcs_psi_plus": TwoPhotonPolState.psi_plus(),
+                     "dcs_psi_minus": TwoPhotonPolState.psi_minus()}
+# CSV rows formatted per string operation; bounds the text held at once.
+_CSV_CHUNK_ROWS = 4096
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
-
-
-def _emit(text: str, path: str | None) -> None:
+def _emit(pieces, path: str | None) -> None:
+    """Write an iterable of strings to ``path``, or to stdout if it is None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
-def _csv_text(header: list[str], rows: list[list[float]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(value) for value in row))
-    return "\n".join(lines) + "\n"
+def _csv_pieces(columns: dict[str, np.ndarray]):
+    """A header line, then every row in one prebuilt %.9g row format."""
+    yield ",".join(columns) + "\n"
+    table = np.column_stack(list(columns.values()))
+    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _CSV_CHUNK_ROWS):
+        chunk = table[start:start + _CSV_CHUNK_ROWS]
+        yield row * len(chunk) % tuple(chunk.ravel().tolist())
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _json_pieces(value, pad: str = "\n"):
+    """The text of json.dumps(value, indent=2), in pieces.
+
+    Besides what json takes, a value may be a 1-D float array; every dict
+    and array must be non-empty. An array bypasses json's pure-Python
+    encoder (indent turns the C one off): float.__repr__ is that encoder's
+    float format, and it spells inf and nan as Infinity and NaN.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        for k, (key, item) in enumerate(value.items()):
+            yield ("," if k else "{") + inner + json.dumps(key) + ": "
+            yield from _json_pieces(item, inner)
+        yield pad + "}"
+    elif isinstance(value, np.ndarray):
+        text = "[" + inner + ("," + inner).join(map(repr, value.tolist())) + pad + "]"
+        if not np.isfinite(value).all():
+            text = text.replace("inf", "Infinity").replace("nan", "NaN")
+        yield text
+    else:
+        yield json.dumps(value, indent=2).replace("\n", pad)
+
+
+def _emit_json(args, payload: dict) -> None:
+    _emit(itertools.chain(_json_pieces(payload), ["\n"]), args.output)
+
+
+def _emit_table(args, columns: dict[str, np.ndarray], **fields) -> int:
+    """Write ``columns`` as CSV, or the command name and ``fields`` as JSON."""
+    if args.format == "csv":
+        _emit(_csv_pieces(columns), args.output)
+    else:
+        _emit_json(args, {"command": args.command, **fields})
+    return 0
 
 
 def _theta_grid(args, parser) -> np.ndarray:
@@ -87,10 +122,11 @@ def _theta_grid(args, parser) -> np.ndarray:
     return np.linspace(args.theta_min, args.theta_max, args.samples)
 
 
-def _canonical_states() -> tuple[TwoPhotonPolState, TwoPhotonPolState, TwoPhotonPolState]:
-    return (TwoPhotonPolState.from_angles(0.0, 0.0),
-            TwoPhotonPolState.psi_plus(),
-            TwoPhotonPolState.psi_minus())
+def _check_wavelength(args, parser) -> None:
+    if args.units == "si" and args.wavelength is None:
+        parser.error("--lambda is required with --units si")
+    if args.wavelength is not None and not args.wavelength > 0.0:
+        parser.error("--lambda must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -198,107 +234,36 @@ def _verify_text(report: VerifyReport) -> str:
 
 def _run_amp_table(args, parser) -> int:
     grid = _theta_grid(args, parser)
-    header = ["theta"] + [f"m_{name}" for name in _PATTERN_NAMES]
-    rows = []
-    for theta in grid:
-        row = [float(theta)]
-        row.extend(closed_form_element(pattern, float(theta)) for pattern in _PATTERNS)
-        rows.append(row)
-    if args.format == "csv":
-        _emit(_csv_text(header, rows), args.output)
-    else:
-        payload = {
-            "command": "amp-table",
-            "theta": [float(t) for t in grid],
-            "elements": {
-                name: [row[1 + k] for row in rows]
-                for k, name in enumerate(_PATTERN_NAMES)
-            },
-        }
-        _emit(_json_text(payload), args.output)
-    return 0
+    elements = dict(zip(_PATTERN_NAMES, closed_form_grid(grid).reshape(len(grid), -1).T))
+    columns = {"theta": grid, **{f"m_{name}": column for name, column in elements.items()}}
+    return _emit_table(args, columns, theta=grid, elements=elements)
 
 
 def _run_dcs_scan(args, parser) -> int:
     grid = _theta_grid(args, parser)
-    if args.units == "si" and args.wavelength is None:
-        parser.error("--lambda is required with --units si")
-    if args.wavelength is not None and not args.wavelength > 0.0:
-        parser.error("--lambda must be positive")
-    product, plus, minus = _canonical_states()
-
-    def convert(value: float) -> float:
+    _check_wavelength(args, parser)
+    columns = {name: dcs_entangled_pqg(grid, state)
+               for name, state in _CANONICAL_STATES.items()}
+    columns["dcs_averaged"] = dcs_averaged(grid)
+    for name, column in columns.items():
         if args.units == "si":
-            return si_convert(value, args.wavelength)
-        if args.units == "figure3":
-            return value / _FIGURE_UNITS_DIVISOR
-        return value
-
-    rows = []
-    for theta in grid:
-        theta = float(theta)
-        rows.append([
-            theta,
-            convert(dcs_entangled_pqg(theta, product)),
-            convert(dcs_entangled_pqg(theta, plus)),
-            convert(dcs_entangled_pqg(theta, minus)),
-            convert(dcs_averaged(theta)),
-        ])
-    header = ["theta", "dcs_product", "dcs_psi_plus", "dcs_psi_minus", "dcs_averaged"]
-    if args.format == "csv":
-        _emit(_csv_text(header, rows), args.output)
-    else:
-        payload = {
-            "command": "dcs-scan",
-            "units": args.units,
-            "wavelength_m": args.wavelength,
-            "theta": [row[0] for row in rows],
-            "dcs_product": [row[1] for row in rows],
-            "dcs_psi_plus": [row[2] for row in rows],
-            "dcs_psi_minus": [row[3] for row in rows],
-            "dcs_averaged": [row[4] for row in rows],
-        }
-        _emit(_json_text(payload), args.output)
-    return 0
+            columns[name] = si_convert(column, args.wavelength)
+        elif args.units == "figure3":
+            columns[name] = column / _FIGURE_UNITS_DIVISOR
+    columns = {"theta": grid, **columns}
+    return _emit_table(args, columns, units=args.units, wavelength_m=args.wavelength,
+                       **columns)
 
 
 def _run_qed_scan(args, parser) -> int:
     grid = _theta_grid(args, parser)
-    if args.units == "si" and args.wavelength is None:
-        parser.error("--lambda is required with --units si")
-    if args.wavelength is not None and not args.wavelength > 0.0:
-        parser.error("--lambda must be positive")
-    product, plus, minus = _canonical_states()
-
-    def value(theta: float, state: TwoPhotonPolState) -> float:
-        if args.units == "si":
-            return dcs_entangled_qed(theta, state, args.wavelength)
-        return qed_bracket(theta, state)
-
-    rows = []
-    for theta in grid:
-        theta = float(theta)
-        rows.append([
-            theta,
-            value(theta, product),
-            value(theta, plus),
-            value(theta, minus),
-        ])
-    header = ["theta", "dcs_product", "dcs_psi_plus", "dcs_psi_minus"]
-    if args.format == "csv":
-        _emit(_csv_text(header, rows), args.output)
-    else:
-        payload = {
-            "command": "qed-scan",
-            "units": args.units,
-            "wavelength_m": args.wavelength,
-            "theta": [row[0] for row in rows],
-            "dcs_product": [row[1] for row in rows],
-            "dcs_psi_plus": [row[2] for row in rows],
-            "dcs_psi_minus": [row[3] for row in rows],
-        }
-        _emit(_json_text(payload), args.output)
-    return 0
+    _check_wavelength(args, parser)
+    columns = {"theta": grid}
+    for name, state in _CANONICAL_STATES.items():
+        columns[name] = (dcs_entangled_qed(grid, state, args.wavelength)
+                         if args.units == "si" else qed_bracket(grid, state))
+    return _emit_table(args, columns, units=args.units, wavelength_m=args.wavelength,
+                       **columns)
 
 
 def _run_coincidence_scan(args, parser) -> int:
@@ -311,20 +276,8 @@ def _run_coincidence_scan(args, parser) -> int:
     except ValueError as error:
         parser.error(str(error))
     grid = np.linspace(args.delta_min, args.delta_max, args.samples)
-    rows = [[float(delta), coincidence_factor(CoincidenceQuery(float(delta), state))]
-            for delta in grid]
-    if args.format == "csv":
-        _emit(_csv_text(["delta", "factor"], rows), args.output)
-    else:
-        payload = {
-            "command": "coincidence-scan",
-            "phi": args.phi,
-            "rho": args.rho,
-            "delta": [row[0] for row in rows],
-            "factor": [row[1] for row in rows],
-        }
-        _emit(_json_text(payload), args.output)
-    return 0
+    columns = {"delta": grid, "factor": coincidence_factor(CoincidenceQuery(grid, state))}
+    return _emit_table(args, columns, phi=args.phi, rho=args.rho, **columns)
 
 
 def _run_verify(args, parser) -> int:
@@ -339,7 +292,7 @@ def _run_verify(args, parser) -> int:
         seed=args.seed,
     )
     if args.format == "json":
-        payload = {
+        _emit_json(args, {
             "command": "verify",
             "passed": report.passed,
             "samples": report.samples,
@@ -350,10 +303,9 @@ def _run_verify(args, parser) -> int:
             "pattern_deviations": report.pattern_deviations,
             "identically_zero": list(report.zero_patterns),
             "gauge_deviation": report.gauge_deviation,
-        }
-        _emit(_json_text(payload), args.output)
+        })
     else:
-        _emit(_verify_text(report), args.output)
+        _emit([_verify_text(report)], args.output)
     return 0 if report.passed else 1
 
 
@@ -370,21 +322,19 @@ def _run_si(args, parser) -> int:
         label = "loop prefactor times the maximal angle bracket"
     exponent = math.floor(math.log10(value))
     if args.format == "json":
-        payload = {
+        _emit_json(args, {
             "command": "si",
             "theory": args.theory,
             "wavelength_m": args.wavelength,
             "dcs_scale_m2_sr": value,
             "exponent": exponent,
-        }
-        _emit(_json_text(payload), args.output)
+        })
     else:
-        text = (f"theory: {args.theory}\n"
-                f"wavelength_m: {_fmt(args.wavelength)}\n"
-                f"scale: {label}\n"
-                f"dcs_scale_m2_sr: {value:.6e}\n"
-                f"exponent: {exponent}\n")
-        _emit(text, args.output)
+        _emit([f"theory: {args.theory}\n"
+               f"wavelength_m: {args.wavelength:.9g}\n"
+               f"scale: {label}\n"
+               f"dcs_scale_m2_sr: {value:.6e}\n"
+               f"exponent: {exponent}\n"], args.output)
     return 0
 
 
@@ -487,7 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args, parser)
+    try:
+        # An overflow to inf is a value the tables print; a division by zero
+        # or an invalid operation means a grid angle sits on a pole.
+        with np.errstate(all="ignore", divide="raise", invalid="raise"):
+            return args.handler(args, parser)
+    except PoleError as error:
+        parser.error(str(error))
+    except FloatingPointError as error:
+        parser.error(f"{error}: the grid reaches too close to a pole at theta = 0 or pi")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cross_sections import TwoPhotonPolState
 
 __all__ = [
@@ -23,24 +25,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoincidenceQuery:
-    """One evaluation point: accumulated phase plus the prepared state."""
+    """Accumulated phase, a float or an array of them, plus the prepared state."""
 
-    phase: float
+    phase: float | np.ndarray
     state: TwoPhotonPolState
 
     def __post_init__(self):
-        if not math.isfinite(self.phase):
+        if not np.all(np.isfinite(self.phase)):
             raise ValueError(f"phase must be finite, got {self.phase}")
         if self.state.phi is None:
             raise ValueError(
                 "coincidence factor is defined for the (phi, rho) two-term family")
 
 
-def coincidence_factor(query: CoincidenceQuery) -> float:
-    """1 + sin(2 phi) cos(Delta + rho), bounded by [0, 2]."""
-    phi = query.state.phi
-    rho = query.state.rho
-    return 1.0 + math.sin(2.0 * phi) * math.cos(query.phase + rho)
+def coincidence_factor(query: CoincidenceQuery):
+    """1 + sin(2 phi) cos(Delta + rho), bounded by [0, 2]; an array for an array of phases."""
+    factor = 1.0 + math.sin(2.0 * query.state.phi) * np.cos(query.phase + query.state.rho)
+    return factor if np.ndim(factor) else float(factor)
 
 
 def separation_to_phase(distance: float, wavelength: float) -> float:

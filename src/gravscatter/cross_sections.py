@@ -14,6 +14,10 @@ unpolarized average and for the two-term superposition family. The electron
 loop channel carries its own SI prefactor built from the fine-structure
 constant and the electron Compton wavelength, so those values are returned
 directly in m^2 per steradian.
+
+The angle functions take a float or an array of angles. Powers of a
+per-angle value go through np.float_power, so an array gives, element by
+element, exactly the float each angle gives alone.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import constants as _const
 
 from .amplitudes import AmplitudeMatrix, closed_form_element
+from .constants import CODATA_2022
 from .kinematics import check_theta
 from .qed import QedContext
 
@@ -48,11 +52,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """SI inputs for unit conversion; defaults are the CODATA values."""
+    """SI inputs for unit conversion; defaults are the CODATA 2022 values."""
 
-    newton_constant: float = float(_const.G)
-    hbar: float = float(_const.hbar)
-    c: float = float(_const.c)
+    newton_constant: float = CODATA_2022.newton_constant
+    hbar: float = CODATA_2022.hbar
+    c: float = CODATA_2022.c
 
     def __post_init__(self):
         for name in ("newton_constant", "hbar", "c"):
@@ -203,6 +207,11 @@ class DcsCurve:
         object.__setattr__(self, "values", values)
 
 
+def _float_or_array(values):
+    """A 0-d result as a Python float, an array result unchanged."""
+    return values if np.ndim(values) else float(values)
+
+
 def _interference_weight(state: TwoPhotonPolState) -> float:
     weight = state.interference_weight
     if weight is None:
@@ -212,7 +221,7 @@ def _interference_weight(state: TwoPhotonPolState) -> float:
     return weight
 
 
-def dcs_averaged(theta: float) -> float:
+def dcs_averaged(theta):
     """Polarization-averaged reduced cross section.
 
     32 [1 + cos^16(theta/2) + sin^16(theta/2)] / sin^4(theta), which equals
@@ -220,11 +229,11 @@ def dcs_averaged(theta: float) -> float:
     """
     theta = check_theta(theta)
     half = 0.5 * theta
-    numerator = 1.0 + math.cos(half) ** 16 + math.sin(half) ** 16
-    return 32.0 * numerator / math.sin(theta) ** 4
+    numerator = 1.0 + np.float_power(np.cos(half), 16) + np.float_power(np.sin(half), 16)
+    return _float_or_array(32.0 * numerator / np.float_power(np.sin(theta), 4))
 
 
-def dcs_entangled_pqg(theta: float, state: TwoPhotonPolState) -> float:
+def dcs_entangled_pqg(theta, state: TwoPhotonPolState):
     """Reduced cross section for the two-term superposition family.
 
     With w = sin(2 phi) cos(rho) and g = cos(theta) + cos^3(theta),
@@ -236,9 +245,10 @@ def dcs_entangled_pqg(theta: float, state: TwoPhotonPolState) -> float:
     """
     theta = check_theta(theta)
     weight = _interference_weight(state)
-    g = math.cos(theta) + math.cos(theta) ** 3
+    c = np.cos(theta)
+    g = c + np.float_power(c, 3)
     bracket = 4.0 * (1.0 + weight) + (1.0 - weight) * g * g
-    return 8.0 * bracket / math.sin(theta) ** 4
+    return _float_or_array(8.0 * bracket / np.float_power(np.sin(theta), 4))
 
 
 def dcs_general_state(theta: float, state: TwoPhotonPolState,
@@ -279,7 +289,7 @@ def relative_phase(theta: float, element=None) -> float:
     return difference
 
 
-def qed_bracket(theta: float, state: TwoPhotonPolState) -> float:
+def qed_bracket(theta, state: TwoPhotonPolState):
     """Angle factor of the loop-induced cross section, prefactor stripped.
 
     (1 + w) (31 + 3 cos^2)^2 + (1 - w) (22 cos)^2 with w the interference
@@ -287,13 +297,13 @@ def qed_bracket(theta: float, state: TwoPhotonPolState) -> float:
     have no pole.
     """
     weight = _interference_weight(state)
-    c = math.cos(theta)
-    return ((1.0 + weight) * (31.0 + 3.0 * c * c) ** 2
-            + (1.0 - weight) * (22.0 * c) ** 2)
+    c = np.cos(theta)
+    return _float_or_array((1.0 + weight) * np.float_power(31.0 + 3.0 * c * c, 2)
+                           + (1.0 - weight) * np.float_power(22.0 * c, 2))
 
 
-def dcs_entangled_qed(theta: float, state: TwoPhotonPolState,
-                      wavelength: float, context: QedContext | None = None) -> float:
+def dcs_entangled_qed(theta, state: TwoPhotonPolState,
+                      wavelength: float, context: QedContext | None = None):
     """Loop-induced cross section in m^2 per steradian for the two-term family.
 
     The SI prefactor is alpha^4 lambda_C^8 / (2 * 45^2 * (2 pi)^2 lambda^6)
@@ -311,12 +321,12 @@ def dcs_entangled_qed(theta: float, state: TwoPhotonPolState,
     return prefactor * qed_bracket(theta, state)
 
 
-def si_convert(reduced: float, wavelength: float,
-               constants: PhysicalConstants | None = None) -> float:
+def si_convert(reduced, wavelength: float,
+               constants: PhysicalConstants | None = None):
     """Reduced gravitational value times l_P^4 / lambda^2, in m^2 per steradian."""
     if constants is None:
         constants = DEFAULT_CONSTANTS
     if not wavelength > 0.0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
     lp = constants.planck_length
-    return float(reduced) * lp ** 4 / wavelength ** 2
+    return _float_or_array(np.asarray(reduced, dtype=np.float64) * lp ** 4 / wavelength ** 2)

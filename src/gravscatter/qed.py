@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import constants as _const
+from .constants import CODATA_2022
 
 __all__ = [
     "QedContext",
@@ -21,21 +21,17 @@ __all__ = [
     "qed_element_1221",
 ]
 
-_ELECTRON_REST_ENERGY = float(_const.m_e * _const.c ** 2)
-_FINE_STRUCTURE = float(_const.fine_structure)
-
-
 @dataclass(frozen=True)
 class QedContext:
     """Electron-scale inputs for the loop-induced cross section.
 
-    Defaults are the CODATA values; override either field to study parameter
-    sensitivity. ``compton_wavelength`` is the reduced Compton wavelength
+    Defaults are the CODATA 2022 values; override either field to study
+    parameter sensitivity. ``compton_wavelength`` is the reduced Compton wavelength
     hbar c / (m c^2), about 3.86e-13 m for the physical electron.
     """
 
-    electron_mass_energy: float = _ELECTRON_REST_ENERGY
-    fine_structure_constant: float = _FINE_STRUCTURE
+    electron_mass_energy: float = CODATA_2022.electron_mass * CODATA_2022.c ** 2
+    fine_structure_constant: float = CODATA_2022.fine_structure
 
     def __post_init__(self):
         if not self.electron_mass_energy > 0.0:
@@ -47,7 +43,7 @@ class QedContext:
 
     @property
     def compton_wavelength(self) -> float:
-        return _const.hbar * _const.c / self.electron_mass_energy
+        return CODATA_2022.hbar * CODATA_2022.c / self.electron_mass_energy
 
 
 def qed_element_1212(theta: float) -> complex:

@@ -375,14 +375,12 @@ class TestClosedForm:
                 closed_form_element((1, 1, 1, 1), theta)
 
     def test_grid_matches_scalar_elements(self):
-        # near the poles 1212 and 1221 cancel, so one ulp of cos is scored
-        # against the largest element at that angle
+        # both paths take their powers with np.float_power, so they agree exactly
         grid = np.linspace(0.01, math.pi - 0.01, 37)
         for theta, row in zip(grid, closed_form_grid(grid)):
-            scale = float(np.max(np.abs(row)))
             for pattern in ALL_PATTERNS:
                 got = row[tuple(label - 1 for label in pattern)]
-                assert abs(got - closed_form_element(pattern, float(theta))) <= 1e-14 * scale
+                assert got == closed_form_element(pattern, float(theta))
 
     def test_matrix_is_real_and_consistent(self):
         theta = 0.8

@@ -235,6 +235,34 @@ class TestSiSummary:
         assert excinfo.value.code == 2
 
 
+class TestPoleExits:
+    """A grid that reaches a pole is a usage error: exit 2, one error line."""
+
+    @pytest.mark.parametrize("argv, words", [
+        (["verify", "--theta-min", "1e-6"], "pole at theta = 1e-06"),
+        (["verify", "--theta-min", "1e-6", "--format", "json"], "t-channel"),
+        (["dcs-scan", "--theta-min", "1e-100"], "divide by zero"),
+        (["dcs-scan", "--theta-min", "1e-100", "--units", "si", "--lambda", "1e-6",
+          "--format", "json"], "divide by zero"),
+        (["amp-table", "--theta-min", "1e-170"], "divide by zero"),
+        (["amp-table", "--theta-min", "1e-170", "--format", "json"], "divide by zero"),
+    ])
+    def test_usage_error(self, argv, words, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.strip().splitlines()[-1]
+        assert last.startswith("gravscatter: error: ") and words in last
+
+    def test_overflow_rows_still_print(self, capsys):
+        assert main(["dcs-scan", "--theta-min", "1e-80", "--samples", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "1e-80,inf,inf,inf,inf"
+        assert main(["amp-table", "--theta-min", "1e-160", "--samples", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("1e-160,-inf,0,")
+
+
 def test_output_file(tmp_path):
     path = tmp_path / "scan.csv"
     assert main(["dcs-scan", "--samples", "4", "--output", str(path)]) == 0

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gravscatter.constants import CODATA_2022, Codata
+from gravscatter.cross_sections import DEFAULT_CONSTANTS
 from gravscatter.qed import QedContext, qed_element_1212, qed_element_1221
 
 
@@ -67,3 +69,23 @@ class TestQedContext:
         ctx = QedContext()
         with pytest.raises(AttributeError):
             ctx.fine_structure_constant = 0.008
+
+
+class TestConstantsRecord:
+    def test_matches_scipy_codata_2022(self):
+        # scipy.constants carries CODATA 2022 from scipy 1.15 on.
+        pytest.importorskip("scipy", minversion="1.15")
+        from scipy import constants
+        assert CODATA_2022 == Codata(
+            newton_constant=float(constants.G), hbar=float(constants.hbar),
+            c=float(constants.c), electron_mass=float(constants.m_e),
+            fine_structure=float(constants.fine_structure))
+
+    def test_both_contexts_read_the_record(self):
+        record = CODATA_2022
+        assert (DEFAULT_CONSTANTS.newton_constant, DEFAULT_CONSTANTS.hbar,
+                DEFAULT_CONSTANTS.c) == (record.newton_constant, record.hbar, record.c)
+        ctx = QedContext()
+        assert ctx.fine_structure_constant == record.fine_structure
+        assert ctx.electron_mass_energy == record.electron_mass * record.c ** 2
+        assert ctx.compton_wavelength == record.hbar * record.c / ctx.electron_mass_energy
