@@ -8,7 +8,6 @@ accessible energies and the coincidence modulation a paired detector would
 record.
 """
 
-from .constants import CODATA_2022
 from .lorentz import (
     METRIC,
     FourVector,
@@ -58,7 +57,6 @@ from .coincidence import CoincidenceQuery, coincidence_factor, separation_to_pha
 __version__ = "0.1.0"
 
 __all__ = [
-    "CODATA_2022",
     "METRIC",
     "FourVector",
     "minkowski_dot",

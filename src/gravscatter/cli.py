@@ -267,8 +267,8 @@ def _run_qed_scan(args, parser) -> int:
 
 
 def _run_coincidence_scan(args, parser) -> int:
-    if not args.delta_min < args.delta_max:
-        parser.error("need --delta-min < --delta-max")
+    if not -math.inf < args.delta_min < args.delta_max < math.inf:
+        parser.error("need finite --delta-min < --delta-max")
     if args.samples < 2:
         parser.error("--samples must be at least 2")
     try:
@@ -439,13 +439,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # An overflow to inf is a value the tables print; a division by zero
-        # or an invalid operation means a grid angle sits on a pole.
+        # or an invalid operation means an input sits on a pole or beyond
+        # the floating-point range, as does a scalar ArithmeticError.
         with np.errstate(all="ignore", divide="raise", invalid="raise"):
             return args.handler(args, parser)
     except PoleError as error:
         parser.error(str(error))
-    except FloatingPointError as error:
-        parser.error(f"{error}: the grid reaches too close to a pole at theta = 0 or pi")
+    except ArithmeticError as error:
+        parser.error(f"cannot evaluate ({error}): keep theta away from the poles "
+                     "at 0 and pi and --lambda within floating-point range")
 
 
 if __name__ == "__main__":

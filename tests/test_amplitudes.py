@@ -375,8 +375,9 @@ class TestClosedForm:
                 closed_form_element((1, 1, 1, 1), theta)
 
     def test_grid_matches_scalar_elements(self):
-        # both paths take their powers with np.float_power, so they agree exactly
-        grid = np.linspace(0.01, math.pi - 0.01, 37)
+        # Both paths take their powers with np.float_power, so they agree
+        # exactly; numpy's `**` would miss on dozens of these angles.
+        grid = np.linspace(1e-7, math.pi - 1e-7, 1667)
         for theta, row in zip(grid, closed_form_grid(grid)):
             for pattern in ALL_PATTERNS:
                 got = row[tuple(label - 1 for label in pattern)]

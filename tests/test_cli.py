@@ -235,8 +235,8 @@ class TestSiSummary:
         assert excinfo.value.code == 2
 
 
-class TestPoleExits:
-    """A grid that reaches a pole is a usage error: exit 2, one error line."""
+class TestUnevaluableInputs:
+    """A grid on a pole or an input beyond float range: exit 2, one error line."""
 
     @pytest.mark.parametrize("argv, words", [
         (["verify", "--theta-min", "1e-6"], "pole at theta = 1e-06"),
@@ -246,6 +246,10 @@ class TestPoleExits:
           "--format", "json"], "divide by zero"),
         (["amp-table", "--theta-min", "1e-170"], "divide by zero"),
         (["amp-table", "--theta-min", "1e-170", "--format", "json"], "divide by zero"),
+        (["si", "--lambda", "1e-200"], "divide by zero"),
+        (["qed-scan", "--lambda", "1e-80"], "division by zero"),
+        (["dcs-scan", "--units", "si", "--lambda", "1e300"], "out of range"),
+        (["coincidence-scan", "--delta-max", "inf"], "finite"),
     ])
     def test_usage_error(self, argv, words, capsys):
         with pytest.raises(SystemExit) as excinfo:

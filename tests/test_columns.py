@@ -6,15 +6,12 @@ the comparisons here are ==, never a tolerance. The writer must reproduce
 json.dumps(payload, indent=2) and the %.9g CSV rows exactly.
 """
 
-import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
-from argparse import Namespace
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravscatter.amplitudes import closed_form_element, closed_form_grid
-from gravscatter.cli import _csv_pieces, _emit_table, _json_pieces
+from gravscatter.cli import _csv_pieces, _json_pieces
 from gravscatter.coincidence import CoincidenceQuery, coincidence_factor
 from gravscatter.cross_sections import (
     TwoPhotonPolState,
@@ -107,31 +104,13 @@ def test_qed_bracket_closed_interval():
         _assert_elementwise_equal(lambda t, s=state: qed_bracket(t, s), angles)
 
 
-def _assert_grid_equals_elements(angles):
-    grid = closed_form_grid(angles)
-    for theta, row in zip(angles.tolist(), grid):
-        for pattern in ALL_PATTERNS:
-            element = closed_form_element(pattern, theta)
-            assert row[tuple(label - 1 for label in pattern)] == element, (theta, pattern)
-
-
-def test_closed_form_grid_equals_elements_on_dense_grid():
-    _assert_grid_equals_elements(DENSE[::3])
-
-
 @given(angles=angle_arrays)
 @settings(max_examples=40, deadline=None)
 def test_closed_form_grid_equals_elements(angles):
-    _assert_grid_equals_elements(angles)
-
-
-def test_scalar_calls_return_floats():
-    state = TwoPhotonPolState.psi_plus()
-    values = (dcs_averaged(1.0), dcs_entangled_pqg(1.0, state), qed_bracket(1.0, state),
-              dcs_entangled_qed(1.0, state, 5e-7), si_convert(32.0, 5e-7),
-              coincidence_factor(CoincidenceQuery(1.0, state)),
-              closed_form_element((1, 1, 1, 1), 1.0))
-    assert all(type(value) is float for value in values)
+    for theta, row in zip(angles.tolist(), closed_form_grid(angles)):
+        for pattern in ALL_PATTERNS:
+            element = closed_form_element(pattern, theta)
+            assert row[tuple(label - 1 for label in pattern)] == element, (theta, pattern)
 
 
 def test_array_phase_must_be_finite():
@@ -192,16 +171,6 @@ def test_csv_writer_spans_chunks(monkeypatch):
     lines = "".join(_csv_pieces(columns)).splitlines()
     assert lines[0] == "t,v"
     assert lines[1:] == [f"{t:.9g},{t / 3.0:.9g}" for t in np.arange(10.0).tolist()]
-
-
-def test_table_json_puts_command_and_fields_first():
-    args = Namespace(format="json", output=None, command="dcs-scan")
-    grid = np.array([0.5, 1.0])
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        assert _emit_table(args, {"theta": grid}, units="reduced", theta=grid) == 0
-    assert buffer.getvalue() == json.dumps(
-        {"command": "dcs-scan", "units": "reduced", "theta": [0.5, 1.0]}, indent=2) + "\n"
 
 
 def test_import_does_not_load_scipy():
