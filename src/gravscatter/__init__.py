@@ -42,8 +42,6 @@ from .cross_sections import (
     PhysicalConstants,
     DEFAULT_CONSTANTS,
     TwoPhotonPolState,
-    Units,
-    DcsCurve,
     dcs_averaged,
     dcs_entangled_pqg,
     dcs_general_state,
@@ -86,8 +84,6 @@ __all__ = [
     "PhysicalConstants",
     "DEFAULT_CONSTANTS",
     "TwoPhotonPolState",
-    "Units",
-    "DcsCurve",
     "dcs_averaged",
     "dcs_entangled_pqg",
     "dcs_general_state",

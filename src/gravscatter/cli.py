@@ -4,19 +4,29 @@ Subcommands cover amplitude tables, gravitational and loop-induced cross
 section scans, coincidence-fringe scans, SI magnitude summaries and the
 verification gate that replays the diagram evaluation against the closed
 forms. All angles are radians. Exit codes: 0 on success, 1 when verification
-fails, 2 on usage errors, a grid that reaches a pole included.
+fails, 2 on usage errors, a grid that reaches a pole included, and on output
+errors (an unwritable --output or stdout, or a failed formatting worker),
+reported on one line of stderr. A stdout closed by its reader (``| head``)
+ends the command quietly with 141, the status of a program stopped by
+SIGPIPE.
 
 Each scan computes its table as named numpy columns, one array per column,
-and hands them to one writer for CSV or JSON.
+and hands them to one writer for CSV or JSON. The writer cuts a table into
+formatting jobs of up to _CHUNK_ROWS rows or array values; a large table's
+jobs run in forked workers, one per usable CPU, and the bytes written do not
+depend on how many there are.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
+import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,36 +60,39 @@ _GAUGE_ANGLES = 10
 _CANONICAL_STATES = {"dcs_product": TwoPhotonPolState.from_angles(0.0, 0.0),
                      "dcs_psi_plus": TwoPhotonPolState.psi_plus(),
                      "dcs_psi_minus": TwoPhotonPolState.psi_minus()}
-# CSV rows formatted per string operation; bounds the text held at once.
-_CSV_CHUNK_ROWS = 4096
+# Rows (CSV) or array values (JSON) formatted per job; bounds the text held
+# at once, here and in each worker.
+_CHUNK_ROWS = 4096
+# Smaller tables are formatted in this process: a worker costs about 5 ms to
+# fork, feed through a pipe and reap, a value 0.5-2.3 us to format.
+_FORK_MIN_VALUES = 1 << 16
 
 
-def _emit(pieces, path: str | None) -> None:
-    """Write an iterable of strings to ``path``, or to stdout if it is None."""
-    if path is None:
-        sys.stdout.writelines(pieces)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
+def _csv_rows(row: str, chunk: np.ndarray) -> str:
+    return row * len(chunk) % tuple(chunk.ravel().tolist())
+
+
+def _json_values(sep: str, chunk: np.ndarray) -> str:
+    # float.__repr__ is json's float format, except that json spells inf and
+    # nan as Infinity and NaN; no finite float's repr holds either word.
+    return sep.join(map(repr, chunk.tolist())).replace("inf", "Infinity").replace("nan", "NaN")
 
 
 def _csv_pieces(columns: dict[str, np.ndarray]):
-    """A header line, then every row in one prebuilt %.9g row format."""
+    """A header line, then jobs of rows in one prebuilt %.9g row format."""
     yield ",".join(columns) + "\n"
     table = np.column_stack(list(columns.values()))
     row = ",".join(["%.9g"] * table.shape[1]) + "\n"
-    for start in range(0, len(table), _CSV_CHUNK_ROWS):
-        chunk = table[start:start + _CSV_CHUNK_ROWS]
-        yield row * len(chunk) % tuple(chunk.ravel().tolist())
+    for start in range(0, len(table), _CHUNK_ROWS):
+        yield _csv_rows, row, table[start:start + _CHUNK_ROWS]
 
 
 def _json_pieces(value, pad: str = "\n"):
-    """The text of json.dumps(value, indent=2), in pieces.
+    """The text of json.dumps(value, indent=2), as pieces.
 
     Besides what json takes, a value may be a 1-D float array; every dict
     and array must be non-empty. An array bypasses json's pure-Python
-    encoder (indent turns the C one off): float.__repr__ is that encoder's
-    float format, and it spells inf and nan as Infinity and NaN.
+    encoder (indent turns the C one off) and becomes jobs of values.
     """
     inner = pad + "  "
     if isinstance(value, dict):
@@ -88,12 +101,96 @@ def _json_pieces(value, pad: str = "\n"):
             yield from _json_pieces(item, inner)
         yield pad + "}"
     elif isinstance(value, np.ndarray):
-        text = "[" + inner + ("," + inner).join(map(repr, value.tolist())) + pad + "]"
-        if not np.isfinite(value).all():
-            text = text.replace("inf", "Infinity").replace("nan", "NaN")
-        yield text
+        for start in range(0, len(value), _CHUNK_ROWS):
+            yield ("," if start else "[") + inner
+            yield _json_values, "," + inner, value[start:start + _CHUNK_ROWS]
+        yield pad + "]"
     else:
         yield json.dumps(value, indent=2).replace("\n", pad)
+
+
+def _workers(values: int) -> int:
+    """Children to format a table of ``values`` numbers: one per usable CPU, or none.
+
+    Where os.sched_getaffinity exists, so does os.fork.
+    """
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return usable if usable > 1 and values >= _FORK_MIN_VALUES else 0
+
+
+def _serve(jobs: list, sink, pipes: list) -> None:
+    """In a forked child: write each job's text to ``sink`` as a frame, then exit.
+
+    A frame is the 8-byte little-endian length of the UTF-8 text, then the
+    text. os._exit skips the exit handlers and buffered output of the parent.
+    """
+    try:
+        # The parent's read ends: one left open here would keep a sibling
+        # from failing when the parent stops reading.
+        for pipe in pipes:
+            pipe.close()
+        for form, argument, chunk in jobs:
+            data = form(argument, chunk).encode()
+            sink.writelines((len(data).to_bytes(8, "little"), data))
+            sink.flush()
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _frame(pipe) -> str:
+    """The text of the next frame on ``pipe``; a short frame means its child failed."""
+    head = pipe.read(8)
+    data = pipe.read(int.from_bytes(head, "little"))
+    if len(head) < 8 or len(data) < int.from_bytes(head, "little"):
+        raise ChildProcessError("a formatting worker stopped before its last job")
+    return data.decode()
+
+
+def _render(pieces: list, write) -> None:
+    """Pass the text of each piece, literal text or a job, to ``write`` in order.
+
+    A job is a tuple (format, argument, chunk) whose text is
+    format(argument, chunk). With _workers children, child w of W runs jobs
+    w, w + W, ... and sends each text as a frame down its own pipe, while
+    this process relays the pieces in order, holding about one job's text
+    per child. Without, the jobs run here. The text is the same either way.
+    A child that stops early or exits non-zero raises ChildProcessError.
+    """
+    jobs = [piece for piece in pieces if not isinstance(piece, str)]
+    workers = _workers(sum(chunk.size for _, _, chunk in jobs))
+    pipes, pids = [], []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as sink, warnings.catch_warnings():
+                # From Python 3.12 os.fork warns in a process with threads, as
+                # numpy's OpenBLAS makes this one. The child only formats
+                # floats into strings, takes no lock another thread may hold,
+                # and leaves through os._exit.
+                warnings.filterwarnings("ignore", ".* is multi-threaded", DeprecationWarning)
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    _serve(jobs[w::workers], sink, pipes)
+        texts = (map(_frame, itertools.cycle(pipes)) if pipes
+                 else (form(argument, chunk) for form, argument, chunk in jobs))
+        for piece in pieces:
+            write(piece if isinstance(piece, str) else next(texts))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    if any(statuses):
+        raise ChildProcessError(f"a formatting worker ended with wait status {max(statuses)}")
+
+
+def _emit(pieces, path: str | None) -> None:
+    """Write an iterable of pieces to ``path``, or to stdout if it is None."""
+    with open(path, "w", encoding="utf-8") if path is not None \
+            else contextlib.nullcontext(sys.stdout) as out:
+        _render(list(pieces), out.write)
+        out.flush()
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -448,6 +545,17 @@ def main(argv=None) -> int:
     except ArithmeticError as error:
         parser.error(f"cannot evaluate ({error}): keep theta away from the poles "
                      "at 0 and pi and --lambda within floating-point range")
+    except OSError as error:
+        # Only the output raises it: an unwritable --output or stdout, or a
+        # formatting worker that failed. What the process's stdout still
+        # holds goes to devnull, as Python's signal docs advise for a closed
+        # pipe, so that the flush at exit neither fails again nor adds to a
+        # table cut short.
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(error, BrokenPipeError):
+            return 128 + 13  # quietly, with what a shell reports for SIGPIPE
+        parser.exit(2, f"{parser.prog}: error: cannot write output: {error}\n")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -38,8 +37,6 @@ __all__ = [
     "PhysicalConstants",
     "DEFAULT_CONSTANTS",
     "TwoPhotonPolState",
-    "Units",
-    "DcsCurve",
     "dcs_averaged",
     "dcs_entangled_pqg",
     "dcs_general_state",
@@ -154,57 +151,6 @@ class TwoPhotonPolState:
         if self._phi is not None:
             return f"TwoPhotonPolState.from_angles({self._phi!r}, {self._rho!r})"
         return f"TwoPhotonPolState({self._coefficients.tolist()!r})"
-
-
-class Units(Enum):
-    REDUCED = "reduced"
-    SI = "si"
-
-
-@dataclass(frozen=True)
-class DcsCurve:
-    """Sampled cross-section curve with unit bookkeeping.
-
-    ``theory`` tags the source ("pqg" or "qed"), ``state`` is the (phi, rho)
-    pair or None for the unpolarized average, and ``wavelength`` must be set
-    whenever the values are SI.
-    """
-
-    thetas: np.ndarray
-    values: np.ndarray
-    units: Units
-    theory: str
-    state: tuple | None = None
-    wavelength: float | None = None
-
-    def __post_init__(self):
-        thetas = np.array(self.thetas, dtype=np.float64)
-        values = np.array(self.values, dtype=np.float64)
-        if thetas.ndim != 1 or thetas.size == 0:
-            raise ValueError("thetas must be a non-empty 1-D array")
-        if values.shape != thetas.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match thetas shape {thetas.shape}")
-        if not np.all(np.isfinite(thetas)) or not np.all(np.isfinite(values)):
-            raise ValueError("curve samples must be finite")
-        if not np.all(np.diff(thetas) > 0.0):
-            raise ValueError("thetas must be strictly increasing")
-        if thetas[0] <= 0.0 or thetas[-1] >= math.pi:
-            raise ValueError("thetas must lie strictly between 0 and pi")
-        if np.any(values < 0.0):
-            raise ValueError("cross-section values must be non-negative")
-        if not isinstance(self.units, Units):
-            raise ValueError(f"units must be a Units member, got {self.units!r}")
-        if self.theory not in ("pqg", "qed"):
-            raise ValueError(f"theory must be 'pqg' or 'qed', got {self.theory!r}")
-        if self.units is Units.SI and self.wavelength is None:
-            raise ValueError("SI curves must record the wavelength they were built at")
-        if self.wavelength is not None and not self.wavelength > 0.0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        thetas.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "values", values)
 
 
 def _float_or_array(values):

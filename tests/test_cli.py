@@ -1,18 +1,26 @@
 """Command-line interface behavior, exit codes, and output formats."""
 
+import contextlib
 import itertools
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gravscatter import cli
 from gravscatter.cli import build_verify_report, main
 from gravscatter.cross_sections import si_convert
 
 RIGHT_ANGLE_ARGS = ["--theta-min", "0.01", "--theta-max", str(math.pi - 0.01),
                     "--samples", "101"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _rows(csv_text):
@@ -286,3 +294,114 @@ def test_theta_formatting_has_nine_significant_digits(capsys):
                  "1.234567891234", "--theta-max", "2.0"]) == 0
     out = capsys.readouterr().out
     assert "1.23456789," in out
+
+
+def _cli_process(argv, **streams):
+    """The CLI started as a child process, from this checkout's sources.
+
+    Its stdout is block-buffered, as by default, so that a small table
+    reaches the device only when the CLI flushes.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, "-m", "gravscatter.cli", *argv],
+                            env=dict(env, PYTHONPATH=str(SRC)), start_new_session=True,
+                            **streams)
+
+
+def _kill_group(proc):
+    """Kill whatever is left of the CLI's process group, workers included."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+
+
+def _output_error_line(stderr: bytes) -> str:
+    lines = stderr.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("gravscatter: error: cannot write output: ")
+    return lines[0]
+
+
+class TestOutputErrors:
+    """Each case runs as a subprocess under a timeout: a formatting worker
+    left blocked or orphaned would hold the stderr pipe open and fail it."""
+
+    def test_closed_stdout_ends_quietly(self):
+        # gravscatter dcs-scan --samples 100000 | head -1
+        with _cli_process(["dcs-scan", "--samples", "100000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                assert proc.stdout.readline().startswith(b"theta,dcs_product,")
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=60)
+            finally:
+                _kill_group(proc)
+        assert (proc.returncode, err) == (141, b"")
+
+    def test_unwritable_output_path(self, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        with _cli_process(["dcs-scan", "--output", str(path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                out, err = proc.communicate(timeout=60)
+            finally:
+                _kill_group(proc)
+        assert (proc.returncode, out) == (2, b"")
+        assert "No such file or directory" in _output_error_line(err)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("samples", ["7", "100000"])
+    def test_full_device(self, samples):
+        # A table small enough to sit in stdout's buffer until the flush, and
+        # one large enough to be formatted by workers.
+        with open("/dev/full", "wb") as full, \
+                _cli_process(["dcs-scan", "--format", "json", "--samples", samples],
+                             stdout=full, stderr=subprocess.PIPE) as proc:
+            try:
+                _, err = proc.communicate(timeout=60)
+            finally:
+                _kill_group(proc)
+        assert proc.returncode == 2
+        assert "No space left on device" in _output_error_line(err)
+
+
+class TestFormattingWorkers:
+    def test_one_worker_per_usable_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert cli._workers(cli._FORK_MIN_VALUES - 1) == 0
+        assert cli._workers(cli._FORK_MIN_VALUES) == 4
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert cli._workers(10 ** 9) == 0
+
+    def test_forked_scan_writes_nothing_to_stderr(self, monkeypatch, capfd):
+        monkeypatch.setattr(cli, "_workers", lambda values: 2)
+        assert main(["dcs-scan", "--samples", "100", "--format", "json"]) == 0
+        out, err = capfd.readouterr()
+        assert err == ""
+        assert json.loads(out)["theta"][-1] == cli.DEFAULT_THETA_MAX
+
+    def test_failed_worker_fails_the_command(self, monkeypatch, capsys):
+        argv = ["dcs-scan", "--samples", "95"]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        # Chunks of 10 rows; the job of the sixth, rows 50 to 59, raises in
+        # the second of two workers, which has sent the frames before it.
+        real = cli._csv_rows
+        failing_start = float(table.splitlines()[51].split(",")[0])
+
+        def failing(row, chunk):
+            if float("%.9g" % chunk[0, 0]) == failing_start:
+                raise RuntimeError("job failed")
+            return real(row, chunk)
+
+        monkeypatch.setattr(cli, "_csv_rows", failing)
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 10)
+        monkeypatch.setattr(cli, "_workers", lambda values: 2)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert "formatting worker" in _output_error_line(err.encode())
+        # The relay stops at the failed job: the header and five chunks.
+        assert out == "".join(table.splitlines(keepends=True)[:51])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

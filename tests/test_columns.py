@@ -3,7 +3,8 @@
 Every function that takes an array of angles must return, element by
 element, the very float the same function returns for that angle alone:
 the comparisons here are ==, never a tolerance. The writer must reproduce
-json.dumps(payload, indent=2) and the %.9g CSV rows exactly.
+json.dumps(payload, indent=2) and the %.9g CSV rows exactly, whether its
+jobs run in this process or in forked workers.
 """
 
 import itertools
@@ -20,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravscatter.amplitudes import closed_form_element, closed_form_grid
-from gravscatter.cli import _csv_pieces, _json_pieces
+from gravscatter import cli
+from gravscatter.cli import _csv_pieces, _json_pieces, _render
 from gravscatter.coincidence import CoincidenceQuery, coincidence_factor
 from gravscatter.cross_sections import (
     TwoPhotonPolState,
@@ -121,8 +123,14 @@ def test_array_phase_must_be_finite():
 # ---------------------------------------------------------------------------
 # the table writer
 
+def _rendered(pieces):
+    parts = []
+    _render(list(pieces), parts.append)
+    return "".join(parts)
+
+
 def _json_text(payload):
-    return "".join(_json_pieces(payload))
+    return _rendered(_json_pieces(payload))
 
 
 floats = st.floats(allow_nan=True, allow_infinity=True)
@@ -156,26 +164,56 @@ def test_json_writer_spells_non_finite_values_like_json():
     assert _json_text(payload) == json.dumps(_plain(payload), indent=2)
 
 
+@pytest.mark.parametrize("workers", [0, 3], ids=["in-process", "forked"])
+def test_json_writer_spans_chunks(monkeypatch, workers):
+    # Non-finite values in the first, a middle and the last chunk of 3.
+    monkeypatch.setattr(cli, "_workers", lambda values: workers)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    column = np.arange(11.0) / 7.0
+    column[[0, 4, 10]] = [math.inf, math.nan, -math.inf]
+    payload = {"a": column, "b": {"c": column[:6], "d": 1.5}}
+    assert _json_text(payload) == json.dumps(_plain(payload), indent=2)
+
+
 @given(table=st.lists(st.tuples(floats, floats, floats), min_size=1, max_size=50))
 @settings(max_examples=100, deadline=None)
 def test_csv_writer_matches_row_formatting(table):
     columns = {name: np.array(column) for name, column in zip("abc", zip(*table))}
     expected = "a,b,c\n" + "".join(
         ",".join(format(value, ".9g") for value in row) + "\n" for row in table)
-    assert "".join(_csv_pieces(columns)) == expected
+    assert _rendered(_csv_pieces(columns)) == expected
 
 
-def test_csv_writer_spans_chunks(monkeypatch):
-    monkeypatch.setattr("gravscatter.cli._CSV_CHUNK_ROWS", 3)
+def _assert_csv_spans_chunks(monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
     columns = {"t": np.arange(10.0), "v": np.arange(10.0) / 3.0}
-    lines = "".join(_csv_pieces(columns)).splitlines()
+    lines = _rendered(_csv_pieces(columns)).splitlines()
     assert lines[0] == "t,v"
     assert lines[1:] == [f"{t:.9g},{t / 3.0:.9g}" for t in np.arange(10.0).tolist()]
 
 
-def test_import_does_not_load_scipy():
-    code = "import sys, gravscatter.cli; print('scipy' in sys.modules)"
+def test_csv_writer_spans_chunks(monkeypatch):
+    _assert_csv_spans_chunks(monkeypatch)
+
+
+def test_csv_writer_spans_chunks_in_workers(monkeypatch):
+    monkeypatch.setattr(cli, "_workers", lambda values: 3)
+    _assert_csv_spans_chunks(monkeypatch)
+
+
+def _loaded_by_cli_import(modules):
+    """Which of ``modules`` a fresh interpreter holds after importing the CLI."""
+    code = f"import sys, gravscatter.cli; print([m for m in {modules!r} if m in sys.modules])"
     src = Path(__file__).resolve().parents[1] / "src"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(src)))
-    assert run.stdout.strip() == "False"
+    return run.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    assert _loaded_by_cli_import(["scipy"]) == "[]"
+
+
+def test_import_does_not_load_process_pools():
+    # The table writer forks with os.fork; these would cost start-up time.
+    assert _loaded_by_cli_import(["multiprocessing", "concurrent.futures"]) == "[]"

@@ -10,10 +10,8 @@ from numpy.testing import assert_allclose
 from gravscatter.amplitudes import AmplitudeMatrix, closed_form_matrix
 from gravscatter.cross_sections import (
     DEFAULT_CONSTANTS,
-    DcsCurve,
     PhysicalConstants,
     TwoPhotonPolState,
-    Units,
     dcs_averaged,
     dcs_entangled_pqg,
     dcs_entangled_qed,
@@ -334,41 +332,3 @@ class TestSiConversion:
     def test_constants_validation(self):
         with pytest.raises(ValueError):
             PhysicalConstants(newton_constant=0.0)
-
-
-class TestDcsCurve:
-    def test_valid_curve(self):
-        thetas = np.linspace(0.1, 3.0, 5)
-        values = np.ones(5)
-        curve = DcsCurve(thetas, values, Units.REDUCED, "pqg")
-        assert curve.units is Units.REDUCED
-        with pytest.raises(ValueError):
-            curve.values[0] = 2.0
-
-    def test_rejects_decreasing_grid(self):
-        with pytest.raises(ValueError):
-            DcsCurve([1.0, 0.5], [1.0, 1.0], Units.REDUCED, "pqg")
-
-    def test_rejects_out_of_range_grid(self):
-        with pytest.raises(ValueError):
-            DcsCurve([0.0, 1.0], [1.0, 1.0], Units.REDUCED, "pqg")
-        with pytest.raises(ValueError):
-            DcsCurve([1.0, math.pi], [1.0, 1.0], Units.REDUCED, "pqg")
-
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            DcsCurve([0.5, 1.0], [1.0, -0.1], Units.REDUCED, "pqg")
-
-    def test_si_requires_wavelength(self):
-        with pytest.raises(ValueError):
-            DcsCurve([0.5, 1.0], [1.0, 1.0], Units.SI, "pqg")
-        curve = DcsCurve([0.5, 1.0], [1.0, 1.0], Units.SI, "pqg", wavelength=500e-9)
-        assert curve.wavelength == 500e-9
-
-    def test_rejects_unknown_theory(self):
-        with pytest.raises(ValueError):
-            DcsCurve([0.5, 1.0], [1.0, 1.0], Units.REDUCED, "strings")
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            DcsCurve([0.5, 1.0], [1.0], Units.REDUCED, "pqg")

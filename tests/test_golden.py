@@ -7,7 +7,9 @@ A changed last digit anywhere in a table changes the hash. The matrix covers
 every scan in CSV and JSON, every unit choice, grids that reach 1e-7 from
 both poles, the overflow rows near theta = 1e-80 and 1e-160, non-default
 coincidence states, the SI summaries and the verification gate, including
-its failing negative control.
+its failing negative control, and tables large enough to be formatted by
+forked workers. Every entry must give the same bytes with its formatting
+jobs run in this process and run in forked workers.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from gravscatter import cli
 from gravscatter.cli import main
 
 NEAR_POLES = "--theta-min=1e-07 --theta-max=3.1415925535897933"
@@ -110,7 +113,20 @@ GOLDEN = [
      "2dbcda5e5b9244de304eb5531a31bdbad390e97bbaaf1e6ce388da0f293b2d22"),
     ("verify --perturb-vertex 1e-3 --format json", 1,
      "cff09ec6a27a994f83c5012692565eb46f8ec54af0f835347600b0eb913ff9ea"),
+    # Tables above the fork threshold, captured from the single-process
+    # writer; the 1e-80 grid puts inf in the first chunk of each cross-section
+    # column.
+    ("dcs-scan --units si --lambda 7.3e-05 --samples 20000 --format json", 0,
+     "b9b4f3dfb1b25ac58e7c1a9803d613e40f1c30430b7a17af7c90ea5fec42fa0b"),
+    ("amp-table --samples 20000", 0,
+     "aeb64af118aff1c7fa5a82e055c770fa558861f1ae2089ac6d3c136bacf070fd"),
+    ("coincidence-scan --samples 100000 --format json", 0,
+     "e90f429ed284ead7607075a05b33b9b3898b99e3c7433dc950f41c82a6e814c8"),
+    ("dcs-scan --theta-min=1e-80 --samples 70000 --format json", 0,
+     "0dc055d91d8e6d832c411ade15fda05242d4317af2992151cf384ec664744e42"),
 ]
+
+GOLDEN_BY_ARGV = {row[0]: row for row in GOLDEN}
 
 
 def _stdout_of(argv: str) -> tuple[int, bytes]:
@@ -134,3 +150,37 @@ def test_subprocess_stdout_matches():
     run = subprocess.run([sys.executable, "-m", "gravscatter.cli", *shlex.split(argv)],
                          capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert run.stdout == _stdout_of(argv)[1]
+
+
+@pytest.mark.parametrize("workers", [0, 3], ids=["in-process", "forked"])
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[row[0] for row in GOLDEN])
+def test_stdout_bytes_either_path(monkeypatch, workers, argv, code, digest):
+    # Forced: no workers at any size, or three at any size (more than this
+    # machine may have CPUs, and a table with no jobs still forks them).
+    monkeypatch.setattr(cli, "_workers", lambda values: workers)
+    got_code, out = _stdout_of(argv)
+    assert got_code == code
+    assert hashlib.sha256(out).hexdigest() == digest, out.decode()[:2000]
+
+
+def test_output_file_matches_stdout(monkeypatch, tmp_path):
+    argv, _, digest = GOLDEN_BY_ARGV["coincidence-scan --samples 100000 --format json"]
+    monkeypatch.setattr(cli, "_workers", lambda values: 3)
+    path = tmp_path / "fringes.json"
+    assert main([*shlex.split(argv), "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="formats in one process with fewer than two usable CPUs")
+def test_forked_subprocess_is_silent():
+    # Run as __main__, where Python shows DeprecationWarnings, such as the
+    # one os.fork gives from Python 3.12 in a process with threads.
+    argv, _, digest = GOLDEN_BY_ARGV[
+        "dcs-scan --units si --lambda 7.3e-05 --samples 20000 --format json"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-m", "gravscatter.cli", *shlex.split(argv)],
+                         capture_output=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert hashlib.sha256(run.stdout).hexdigest() == digest
