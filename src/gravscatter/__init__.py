@@ -6,35 +6,22 @@ the amplitudes into differential cross sections for polarization-entangled
 photon pairs, alongside the electron-loop channel that dominates at
 accessible energies and the coincidence modulation a paired detector would
 record.
+
+Every quantity is a numpy array or a float: four-vectors carry their
+components on the last axis, and the amplitudes over N angles have shape
+(N, 2, 2, 2, 2), indexed by the four polarization labels minus one.
 """
 
-from .lorentz import (
-    METRIC,
-    FourVector,
-    minkowski_dot,
-    lower_index,
-)
-from .kinematics import (
-    PERPENDICULAR,
-    PARALLEL,
-    KinematicConfig,
-    com_config,
-    gauge_shift,
-)
+from .lorentz import METRIC, minkowski_dot
+from .kinematics import com_arrays
 from .amplitudes import (
     POLE_TOLERANCE,
     PoleError,
-    DiagramChannel,
-    AmplitudeMatrix,
     contracted_vertex,
     graviton_coupling,
     channel_amplitudes,
-    diagram_amplitude,
-    amplitude_sum,
-    diagram_sum_matrix,
     diagram_sum_grid,
     closed_form_element,
-    closed_form_matrix,
     closed_form_grid,
 )
 from .qed import QedContext, qed_element_1212, qed_element_1221
@@ -56,27 +43,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "METRIC",
-    "FourVector",
     "minkowski_dot",
-    "lower_index",
-    "PERPENDICULAR",
-    "PARALLEL",
-    "KinematicConfig",
-    "com_config",
-    "gauge_shift",
+    "com_arrays",
     "POLE_TOLERANCE",
     "PoleError",
-    "DiagramChannel",
-    "AmplitudeMatrix",
     "contracted_vertex",
     "graviton_coupling",
     "channel_amplitudes",
-    "diagram_amplitude",
-    "amplitude_sum",
-    "diagram_sum_matrix",
     "diagram_sum_grid",
     "closed_form_element",
-    "closed_form_matrix",
     "closed_form_grid",
     "QedContext",
     "qed_element_1212",

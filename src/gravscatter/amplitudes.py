@@ -14,35 +14,32 @@ vertices cancel in the product and the summed amplitude is insensitive to
 that bookkeeping. The closed-form element table is the reference the diagram
 evaluator must land on, entry by entry. The overall sign choice and two
 corrections to commonly printed vertex formulas are recorded in ERRATA.md.
+
+Amplitudes over a grid of N angles are real arrays of shape
+(N, 2, 2, 2, 2): values[n, a, b, c, d] is the element at theta[n] for
+incoming polarization labels (a + 1, b + 1) and outgoing labels
+(c + 1, d + 1), so flattening the last four axes lists the 16 patterns in
+the order 1111, 1112, ..., 2222. One angle is a one-element grid.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .kinematics import KinematicConfig, check_theta, com_arrays
-from .lorentz import METRIC
+from .kinematics import check_theta, com_arrays
+from .lorentz import METRIC, minkowski_dot
 
 __all__ = [
     "POLE_TOLERANCE",
     "PoleError",
-    "DiagramChannel",
-    "AmplitudeMatrix",
     "CHUNK_ANGLES",
     "contracted_vertex",
     "graviton_coupling",
     "channel_amplitudes",
-    "diagram_amplitude",
-    "amplitude_sum",
-    "diagram_sum_matrix",
     "diagram_sum_grid",
     "closed_form_element",
-    "closed_form_matrix",
     "closed_form_grid",
 ]
 
@@ -66,52 +63,11 @@ class PoleError(ValueError):
     """Squared exchange momentum fell inside the massless-propagator pole window."""
 
 
-class DiagramChannel(Enum):
-    """Exchange topology of a single tree diagram."""
-
-    T_CHANNEL = "t"
-    U_CHANNEL = "u"
-    S_CHANNEL = "s"
-
-
-@dataclass(frozen=True)
-class AmplitudeMatrix:
-    """All 16 reduced amplitudes at one angle, indexed by polarization labels.
-
-    ``values[a, b, c, d]`` holds the element for incoming labels (a+1, b+1)
-    and outgoing labels (c+1, d+1); ``element`` does the 1-based lookup.
-    """
-
-    theta: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        array = np.array(self.values, dtype=np.complex128)
-        if array.shape != (2, 2, 2, 2):
-            raise ValueError(f"expected shape (2, 2, 2, 2), got {array.shape}")
-        if not np.all(np.isfinite(array)):
-            raise ValueError("amplitude entries must be finite")
-        array.flags.writeable = False
-        object.__setattr__(self, "values", array)
-
-    def element(self, xi1: int, xi2: int, xi3: int, xi4: int) -> complex:
-        labels = (xi1, xi2, xi3, xi4)
-        for label in labels:
-            if label not in (1, 2):
-                raise ValueError(f"polarization labels must be 1 or 2, got {labels}")
-        return complex(self.values[xi1 - 1, xi2 - 1, xi3 - 1, xi4 - 1])
-
-
 def _check_pols(pols) -> tuple[int, int, int, int]:
     pols = tuple(pols)
     if len(pols) != 4 or any(label not in (1, 2) for label in pols):
         raise ValueError(f"expected four polarization labels from {{1, 2}}, got {pols!r}")
     return pols
-
-
-def _mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minkowski products a . b over the last axis."""
-    return (a * b) @ _ETA
 
 
 def contracted_vertex(p_out, p_in, eps_out, eps_in, *,
@@ -142,7 +98,7 @@ def contracted_vertex(p_out, p_in, eps_out, eps_in, *,
     contravariant components on the last axis; leading axes broadcast.
     """
     q, p, e, f = (np.asarray(v, dtype=np.float64) for v in (p_out, p_in, eps_out, eps_in))
-    qf, pe, ef, qp = _mdot(q, f), _mdot(p, e), _mdot(e, f), _mdot(q, p)
+    qf, pe, ef, qp = (minkowski_dot(a, b) for a, b in ((q, f), (p, e), (e, f), (q, p)))
     ql, pl, el, fl = (v * _ETA for v in (q, p, e, f))
     # Sum the a_mu (w b)_nu halves of the {a, b} terms, then add the
     # transpose once: the block comes out exactly symmetric.
@@ -174,21 +130,20 @@ def graviton_coupling(block1, block2) -> np.ndarray:
 # 0-based; then the exchange momentum q = p1 + sign * p_k as (k, sign).
 # Crossed legs appear with flipped momentum signs.
 _CHANNELS = (
-    (DiagramChannel.T_CHANNEL, ((2, 1.0, 0, 1.0), (3, 1.0, 1, 1.0)), (2, -1.0)),
-    (DiagramChannel.U_CHANNEL, ((3, 1.0, 0, 1.0), (2, 1.0, 1, 1.0)), (3, -1.0)),
-    (DiagramChannel.S_CHANNEL, ((1, -1.0, 0, 1.0), (2, 1.0, 3, -1.0)), (1, 1.0)),
+    ("t", ((2, 1.0, 0, 1.0), (3, 1.0, 1, 1.0)), (2, -1.0)),
+    ("u", ((3, 1.0, 0, 1.0), (2, 1.0, 1, 1.0)), (3, -1.0)),
+    ("s", ((1, -1.0, 0, 1.0), (2, 1.0, 3, -1.0)), (1, 1.0)),
 )
-_CHANNEL_INDEX = {channel: k for k, (channel, _, _) in enumerate(_CHANNELS)}
 
 
-def _check_pole(channel: DiagramChannel, q2: np.ndarray, momenta) -> None:
+def _check_pole(channel: str, q2: np.ndarray, momenta) -> None:
     if not np.any(np.abs(q2) < POLE_TOLERANCE):
         return
     q2, p1, p3 = np.broadcast_arrays(q2[..., None], momenta[0][..., 1:], momenta[2][..., 1:])
     row = tuple(np.argwhere(np.abs(q2[..., 0]) < POLE_TOLERANCE)[0])
     theta = math.atan2(np.linalg.norm(np.cross(p1[row], p3[row])), p1[row] @ p3[row])
     raise PoleError(
-        f"{channel.value}-channel exchange momentum squared {q2[row][0]:.3e} lies "
+        f"{channel}-channel exchange momentum squared {q2[row][0]:.3e} lies "
         f"within {POLE_TOLERANCE} of the pole at theta = {theta:.6g}"
     )
 
@@ -216,7 +171,7 @@ def channel_amplitudes(momenta, polarizations, *,
     amplitudes = []
     for channel, vertices, (k, sign) in _CHANNELS:
         q = momenta[0] + sign * momenta[k]
-        q2 = _mdot(q, q)
+        q2 = minkowski_dot(q, q)
         _check_pole(channel, q2, momenta)
         block1, block2 = (
             contracted_vertex(sign_out * momenta[out], sign_in * momenta[into],
@@ -227,69 +182,22 @@ def channel_amplitudes(momenta, polarizations, *,
     return np.stack(amplitudes, axis=-1)
 
 
-def _all_patterns(momenta: np.ndarray, basis: np.ndarray,
-                  vertex_perturbation: float) -> np.ndarray:
-    """Per-channel amplitudes of all 16 patterns, shape leading + (2, 2, 2, 2, 3).
-
-    ``momenta`` (leading + (4, 4)) and ``basis`` (leading + (4, 2, 4)) are
-    indexed by photon first; photon k's label lands on pattern axis k, the
-    layout of AmplitudeMatrix.values.
-    """
-    lead = basis.shape[:-3]
-    moms = [momenta[..., k, None, None, None, None, :] for k in range(4)]
-    pols = [basis[..., k, :, :].reshape(lead + tuple(2 if j == k else 1 for j in range(4)) + (4,))
-            for k in range(4)]
-    return channel_amplitudes(moms, pols, vertex_perturbation=vertex_perturbation)
-
-
-def _config_patterns(config: KinematicConfig, vertex_perturbation: float) -> np.ndarray:
-    momenta = np.array([config.momentum(photon).components for photon in (1, 2, 3, 4)])
-    basis = np.array([[vec.components for vec in pair] for pair in config.polarizations])
-    return _all_patterns(momenta, basis, vertex_perturbation)
-
-
-def diagram_amplitude(channel: DiagramChannel, config: KinematicConfig,
-                      pols, *, vertex_perturbation: float = 0.0) -> complex:
-    """Reduced amplitude of a single exchange topology.
-
-    ``pols`` holds the four polarization labels in photon order. The vertex
-    is transverse in both photon slots, so each topology is separately
-    insensitive to gauge shifts; it still takes all three to reproduce the
-    reference table.
-    """
-    labels = tuple(label - 1 for label in _check_pols(pols))
-    try:
-        index = _CHANNEL_INDEX[channel]
-    except (KeyError, TypeError):
-        raise TypeError(f"expected a DiagramChannel, got {channel!r}") from None
-    return complex(_config_patterns(config, vertex_perturbation)[labels + (index,)])
-
-
-def amplitude_sum(config: KinematicConfig, pols, *,
-                  vertex_perturbation: float = 0.0) -> complex:
-    """Sum of the t, u and s exchange diagrams for one polarization pattern."""
-    labels = tuple(label - 1 for label in _check_pols(pols))
-    return complex(_config_patterns(config, vertex_perturbation)[labels].sum())
-
-
-def diagram_sum_matrix(config: KinematicConfig, *,
-                       vertex_perturbation: float = 0.0) -> AmplitudeMatrix:
-    """Three-channel sum for all 16 polarization patterns at once."""
-    values = _config_patterns(config, vertex_perturbation).sum(axis=-1)
-    return AmplitudeMatrix(config.theta, values)
-
-
 def diagram_sum_grid(theta, *, vertex_perturbation: float = 0.0) -> np.ndarray:
     """Three-channel sums over a 1-D array of angles, CHUNK_ANGLES at a time.
 
-    Real, shape (N, 2, 2, 2, 2), laid out like AmplitudeMatrix.values.
+    Real, shape (N, 2, 2, 2, 2) in the module's layout. Photon k's
+    polarization label runs along pattern axis k, so each vertex block is
+    built once per label pair.
     """
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     values = np.empty((theta.size, 2, 2, 2, 2))
     for start in range(0, theta.size, CHUNK_ANGLES):
-        stop = start + CHUNK_ANGLES
-        values[start:stop] = _all_patterns(*com_arrays(theta[start:stop]),
-                                           vertex_perturbation).sum(axis=-1)
+        momenta, basis = com_arrays(theta[start:start + CHUNK_ANGLES])
+        moms = [momenta[:, k, None, None, None, None] for k in range(4)]
+        pols = [basis[:, k].reshape((-1,) + tuple(2 if j == k else 1 for j in range(4)) + (4,))
+                for k in range(4)]
+        values[start:start + CHUNK_ANGLES] = channel_amplitudes(
+            moms, pols, vertex_perturbation=vertex_perturbation).sum(axis=-1)
     return values
 
 
@@ -330,19 +238,10 @@ def closed_form_element(pols, theta: float) -> float:
     return float(numerator(np.cos(theta)) / np.float_power(np.sin(theta), 2))
 
 
-def closed_form_matrix(theta: float) -> AmplitudeMatrix:
-    """All 16 closed-form elements packed into an AmplitudeMatrix."""
-    values = np.zeros((2, 2, 2, 2), dtype=np.complex128)
-    for pattern in itertools.product((1, 2), repeat=4):
-        index = tuple(label - 1 for label in pattern)
-        values[index] = closed_form_element(pattern, theta)
-    return AmplitudeMatrix(float(theta), values)
-
-
 def closed_form_grid(theta) -> np.ndarray:
     """All 16 closed-form elements over a 1-D array of angles.
 
-    Real, shape (N, 2, 2, 2, 2), laid out like AmplitudeMatrix.values.
+    Real, shape (N, 2, 2, 2, 2) in the module's layout.
     """
     theta = check_theta(np.asarray(theta, dtype=np.float64).reshape(-1))
     c = np.cos(theta)

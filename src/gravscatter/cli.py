@@ -220,10 +220,12 @@ def _theta_grid(args, parser) -> np.ndarray:
 
 
 def _check_wavelength(args, parser) -> None:
-    if args.units == "si" and args.wavelength is None:
-        parser.error("--lambda is required with --units si")
-    if args.wavelength is not None and not args.wavelength > 0.0:
-        parser.error("--lambda must be positive")
+    # `si` requires --lambda, so only the scans reach the --units test.
+    if args.wavelength is None:
+        if args.units == "si":
+            parser.error("--lambda is required with --units si")
+    elif not 0.0 < args.wavelength < math.inf:
+        parser.error("--lambda must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +381,12 @@ def _run_coincidence_scan(args, parser) -> int:
 
 def _run_verify(args, parser) -> int:
     _theta_grid(args, parser)
+    for option, tolerance in (("--tolerance", args.tolerance),
+                              ("--gauge-tolerance", args.gauge_tolerance)):
+        if not tolerance >= 0.0:  # NaN included: no deviation would pass it
+            parser.error(f"{option} must be a non-negative number")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     report = build_verify_report(
         theta_min=args.theta_min,
         theta_max=args.theta_max,
@@ -407,8 +415,7 @@ def _run_verify(args, parser) -> int:
 
 
 def _run_si(args, parser) -> int:
-    if not args.wavelength > 0.0:
-        parser.error("--lambda must be positive")
+    _check_wavelength(args, parser)
     if args.theory == "pqg":
         # Peak of the right-angle Bell-state rate: reduced value 32 times the
         # Planck-length conversion.

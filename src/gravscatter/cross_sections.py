@@ -5,7 +5,7 @@ l_P^4 / lambda^2, with l_P the Planck length and lambda = hbar c / E the
 photon wavelength in the center-of-momentum frame; functions named dcs_*
 return the reduced angle function unless stated otherwise. The general rule
 connecting an initial two-photon polarization state with coefficients c and
-the reduced amplitude matrix m is
+the reduced amplitudes m at one angle, indexed [in1, in2, out1, out2], is
 
     dcs = (1/4) sum_{out} | sum_{in} c[in] m[in, out] |^2,
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import AmplitudeMatrix, closed_form_element
+from .amplitudes import closed_form_element
 from .constants import CODATA_2022
 from .kinematics import check_theta
 from .qed import QedContext
@@ -197,19 +197,15 @@ def dcs_entangled_pqg(theta, state: TwoPhotonPolState):
     return _float_or_array(8.0 * bracket / np.float_power(np.sin(theta), 4))
 
 
-def dcs_general_state(theta: float, state: TwoPhotonPolState,
-                      matrix: AmplitudeMatrix) -> float:
+def dcs_general_state(state: TwoPhotonPolState, amplitudes):
     """Reduced cross section for arbitrary normalized coefficients.
 
-    Evaluates (1/4) sum_{out} |sum_{in} c m|^2 against the supplied
-    amplitude matrix, which must have been built at the same angle.
+    Evaluates (1/4) sum_{out} |sum_{in} c m|^2 for amplitudes m of shape
+    (..., 2, 2, 2, 2), such as closed_form_grid or diagram_sum_grid give:
+    one row is one angle and gives a float, a grid gives an array.
     """
-    theta = check_theta(theta)
-    if abs(matrix.theta - theta) > 1e-9:
-        raise ValueError(
-            f"matrix was built at theta={matrix.theta!r}, asked to evaluate at {theta!r}")
-    outgoing = np.einsum("ij,ijkl->kl", state.coefficients, matrix.values)
-    return 0.25 * float(np.sum(np.abs(outgoing) ** 2))
+    outgoing = np.einsum("ij,...ijkl->...kl", state.coefficients, amplitudes)
+    return _float_or_array(0.25 * np.sum(np.abs(outgoing) ** 2, axis=(-2, -1)))
 
 
 def relative_phase(theta: float, element=None) -> float:

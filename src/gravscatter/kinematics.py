@@ -10,72 +10,13 @@ With every photon energy normalized to 1 the spatial momenta are unit length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lorentz import FourVector
-
 __all__ = [
-    "PERPENDICULAR",
-    "PARALLEL",
-    "KinematicConfig",
     "check_theta",
     "com_arrays",
-    "com_config",
-    "gauge_shift",
 ]
-
-PERPENDICULAR = 1
-PARALLEL = 2
-
-_PHOTONS = (1, 2, 3, 4)
-_POL_LABELS = (PERPENDICULAR, PARALLEL)
-
-
-@dataclass(frozen=True)
-class KinematicConfig:
-    """Momenta and polarization basis at one fixed scattering angle.
-
-    ``polarizations`` is indexed [photon - 1][label - 1]; use the accessors
-    for the 1-based bookkeeping everything else in the package follows.
-    """
-
-    theta: float
-    p1: FourVector
-    p2: FourVector
-    p3: FourVector
-    p4: FourVector
-    polarizations: tuple[tuple[FourVector, FourVector], ...]
-
-    def momentum(self, photon: int) -> FourVector:
-        if photon not in _PHOTONS:
-            raise ValueError(f"photon index must be 1..4, got {photon}")
-        return (self.p1, self.p2, self.p3, self.p4)[photon - 1]
-
-    def polarization(self, photon: int, label: int) -> FourVector:
-        if photon not in _PHOTONS:
-            raise ValueError(f"photon index must be 1..4, got {photon}")
-        if label not in _POL_LABELS:
-            raise ValueError(
-                f"polarization label must be {PERPENDICULAR} (perpendicular) "
-                f"or {PARALLEL} (parallel), got {label}"
-            )
-        return self.polarizations[photon - 1][label - 1]
-
-    def replaced_polarization(self, photon: int, label: int,
-                              vector: FourVector) -> "KinematicConfig":
-        """Copy of the configuration with a single polarization vector swapped.
-
-        No orthonormality is re-imposed on the substitute; the main use is
-        feeding gauge-shifted vectors to invariance checks.
-        """
-        self.polarization(photon, label)  # reuse the index validation
-        rows = list(self.polarizations)
-        pair = list(rows[photon - 1])
-        pair[label - 1] = vector
-        rows[photon - 1] = tuple(pair)
-        return replace(self, polarizations=tuple(rows))
 
 
 def check_theta(theta):
@@ -106,6 +47,7 @@ def com_arrays(theta) -> tuple[np.ndarray, np.ndarray]:
 
     Returns momenta indexed [..., photon - 1, component] and polarizations
     indexed [..., photon - 1, label - 1, component], with theta's shape first.
+    Every angle must lie strictly between 0 and pi, away from both poles.
     """
     theta = check_theta(np.asarray(theta, dtype=np.float64))
     st, ct = np.sin(theta), np.cos(theta)
@@ -121,26 +63,3 @@ def com_arrays(theta) -> tuple[np.ndarray, np.ndarray]:
                 (zero, ct, zero, -st), (zero, -ct, zero, st))
     polarizations = np.stack([vectors(perp, vec) for vec in in_plane], axis=-3)
     return momenta, polarizations
-
-
-def com_config(theta: float) -> KinematicConfig:
-    """Build the center-of-momentum configuration at scattering angle theta.
-
-    The vectors are those of ``com_arrays`` at one angle. theta must lie
-    strictly between 0 and pi so that both exchange poles stay excluded.
-    """
-    theta = check_theta(theta)
-    momenta, basis = com_arrays(theta)
-    p1, p2, p3, p4 = (FourVector.from_array(row) for row in momenta)
-    polarizations = tuple(tuple(FourVector.from_array(vec) for vec in pair)
-                          for pair in basis)
-    return KinematicConfig(theta, p1, p2, p3, p4, polarizations)
-
-
-def gauge_shift(eps: FourVector, p: FourVector, xi: float) -> FourVector:
-    """eps + xi * p.
-
-    For a null momentum p with p . eps = 0 the shifted vector keeps both its
-    norm and its transversality, and physical summed amplitudes must not move.
-    """
-    return eps + float(xi) * p

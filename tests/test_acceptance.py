@@ -10,12 +10,7 @@ import math
 
 import numpy as np
 
-from gravscatter.amplitudes import (
-    AmplitudeMatrix,
-    amplitude_sum,
-    closed_form_matrix,
-    diagram_sum_matrix,
-)
+from gravscatter.amplitudes import channel_amplitudes, closed_form_grid, diagram_sum_grid
 from gravscatter.cli import main as cli_main
 from gravscatter.coincidence import CoincidenceQuery, coincidence_factor
 from gravscatter.cross_sections import (
@@ -26,7 +21,7 @@ from gravscatter.cross_sections import (
     dcs_general_state,
     si_convert,
 )
-from gravscatter.kinematics import com_config, gauge_shift
+from gravscatter.kinematics import com_arrays
 from gravscatter.qed import QedContext, qed_element_1212, qed_element_1221
 
 ALL_PATTERNS = tuple(itertools.product((1, 2), repeat=4))
@@ -41,15 +36,18 @@ def _verdict(number: int, title: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
+def _index(pattern):
+    """0-based array index of a pattern of 1-based polarization labels."""
+    return tuple(label - 1 for label in pattern)
+
+
 def test_criterion_1_diagram_sum_matches_closed_forms():
     worst = 0.0
-    for theta in GRID:
-        computed = diagram_sum_matrix(com_config(float(theta)))
-        reference = closed_form_matrix(float(theta))
-        scale = float(np.max(np.abs(reference.values)))
+    for computed, reference in zip(diagram_sum_grid(GRID), closed_form_grid(GRID)):
+        scale = float(np.max(np.abs(reference)))
         for pattern in ALL_PATTERNS:
-            want = reference.element(*pattern)
-            got = computed.element(*pattern)
+            want = reference[_index(pattern)]
+            got = computed[_index(pattern)]
             if abs(want) > 0.0:
                 worst = max(worst, abs(got - want) / abs(want))
             else:
@@ -60,9 +58,8 @@ def test_criterion_1_diagram_sum_matches_closed_forms():
 
 def test_criterion_2_averaged_closed_form():
     worst = 0.0
-    for theta in GRID:
-        matrix = closed_form_matrix(float(theta))
-        mean = float(np.sum(np.abs(matrix.values) ** 2)) / 16.0
+    for theta, matrix in zip(GRID, closed_form_grid(GRID)):
+        mean = float(np.sum(np.abs(matrix) ** 2)) / 16.0
         value = dcs_averaged(float(theta))
         worst = max(worst, abs(value - mean) / mean)
     anchor = abs(dcs_averaged(math.pi / 2) - 32.25)
@@ -76,12 +73,11 @@ def test_criterion_3_entangled_closed_form_matches_contraction():
     thetas = np.linspace(0.3, math.pi - 0.3, 10)
     phis = np.linspace(0.0, math.pi / 2, 10)
     rhos = np.linspace(-math.pi / 2, 3 * math.pi / 2, 10, endpoint=False)
-    for theta in thetas:
-        matrix = closed_form_matrix(float(theta))
+    for theta, matrix in zip(thetas, closed_form_grid(thetas)):
         for phi, rho in itertools.product(phis, rhos):
             state = TwoPhotonPolState.from_angles(float(phi), float(rho))
             closed = dcs_entangled_pqg(float(theta), state)
-            general = dcs_general_state(float(theta), state, matrix)
+            general = dcs_general_state(state, matrix)
             worst = max(worst, abs(closed - general) / max(abs(closed), 1.0))
     _verdict(3, "entangled closed form equals the general contraction at 1e-12",
              worst <= 1e-12, f"max deviation {worst:.2e} over a 10x10x10 lattice")
@@ -145,9 +141,7 @@ def test_criterion_6_qed_closed_form_matches_element_assembly():
 def test_criterion_7_symmetry_battery():
     # identical outgoing particles: swapping labels 3 and 4 mirrors the angle
     exchange_worst = 0.0
-    for theta in GRID:
-        forward = closed_form_matrix(float(theta)).values
-        backward = closed_form_matrix(math.pi - float(theta)).values
+    for forward, backward in zip(closed_form_grid(GRID), closed_form_grid(math.pi - GRID)):
         swapped = backward.swapaxes(2, 3)
         scale = float(np.max(np.abs(forward)))
         exchange_worst = max(exchange_worst,
@@ -157,18 +151,16 @@ def test_criterion_7_symmetry_battery():
     rng = np.random.default_rng(77)
     gauge_worst = 0.0
     for theta in np.linspace(0.2, math.pi - 0.2, 5):
-        config = com_config(float(theta))
+        momenta, basis = com_arrays(float(theta))
         for pattern in ((1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 1, 2), (2, 2, 2, 2)):
-            base = amplitude_sum(config, pattern)
-            for photon in (1, 2, 3, 4):
+            pols = basis[np.arange(4), _index(pattern)]
+            base = channel_amplitudes(momenta, pols).sum()
+            for photon in range(4):
                 xi = float(rng.uniform(-10.0, 10.0))
-                label = pattern[photon - 1]
-                shifted = config.replaced_polarization(
-                    photon, label,
-                    gauge_shift(config.polarization(photon, label),
-                                config.momentum(photon), xi))
+                shifted = pols.copy()
+                shifted[photon] += xi * momenta[photon]
                 gauge_worst = max(gauge_worst,
-                                  abs(amplitude_sum(shifted, pattern) - base)
+                                  abs(channel_amplitudes(momenta, shifted).sum() - base)
                                   / abs(base))
 
     # invariance under local polarization-basis rotations
@@ -179,19 +171,17 @@ def test_criterion_7_symmetry_battery():
         return q * (phases / np.abs(phases))[None, :]
 
     basis_worst = 0.0
-    for theta in (0.7, math.pi / 2, 2.3):
-        matrix = closed_form_matrix(theta)
+    for matrix in closed_form_grid([0.7, math.pi / 2, 2.3]):
         for state in (TwoPhotonPolState.psi_plus(),
                       TwoPhotonPolState.from_angles(0.4, 1.0)):
-            reference = dcs_general_state(theta, state, matrix)
+            reference = dcs_general_state(state, matrix)
             for _ in range(100):
                 u = random_unitary()
                 v = random_unitary()
                 rotated_state = TwoPhotonPolState(u @ state.coefficients @ v.T)
                 rotated_values = np.einsum("Aa,Bb,abcd->ABcd",
-                                           np.conj(u), np.conj(v), matrix.values)
-                rotated = dcs_general_state(
-                    theta, rotated_state, AmplitudeMatrix(theta, rotated_values))
+                                           np.conj(u), np.conj(v), matrix)
+                rotated = dcs_general_state(rotated_state, rotated_values)
                 basis_worst = max(basis_worst, abs(rotated - reference) / reference)
 
     # ordering of the canonical states everywhere on the grid

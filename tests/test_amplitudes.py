@@ -9,22 +9,17 @@ from numpy.testing import assert_allclose
 
 from gravscatter.amplitudes import (
     CHUNK_ANGLES,
-    AmplitudeMatrix,
-    DiagramChannel,
     PoleError,
-    amplitude_sum,
+    channel_amplitudes,
     closed_form_element,
     closed_form_grid,
-    closed_form_matrix,
     contracted_vertex,
-    diagram_amplitude,
     diagram_sum_grid,
-    diagram_sum_matrix,
     graviton_coupling,
 )
 from gravscatter.cli import build_verify_report
-from gravscatter.kinematics import com_config, gauge_shift
-from gravscatter.lorentz import METRIC, FourVector, minkowski_dot
+from gravscatter.kinematics import com_arrays
+from gravscatter.lorentz import METRIC, minkowski_dot
 from vertex_reference import vertex_tensor_reference
 
 ALL_PATTERNS = tuple(itertools.product((1, 2), repeat=4))
@@ -32,6 +27,29 @@ NONZERO_PATTERNS = tuple(p for p in ALL_PATTERNS if sum(p) % 2 == 0)
 ZERO_PATTERNS = tuple(p for p in ALL_PATTERNS if sum(p) % 2 == 1)
 
 _ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+
+
+def _index(pattern):
+    """0-based array index of a pattern of 1-based polarization labels."""
+    return tuple(label - 1 for label in pattern)
+
+
+def _legs(theta, pattern):
+    """Momenta and the pattern's polarization vectors at one angle, (4, 4) each."""
+    momenta, basis = com_arrays(theta)
+    return momenta, basis[np.arange(4), _index(pattern)]
+
+
+def _pattern_channels(theta, pattern):
+    """The t, u and s amplitudes of one pattern at one angle."""
+    return channel_amplitudes(*_legs(theta, pattern))
+
+
+def _shifted(pols, photon, shift):
+    """Polarizations with photon's (1-based) vector moved by ``shift``."""
+    pols = pols.copy()
+    pols[photon - 1] += shift
+    return pols
 
 
 def _block_reference(tensor, eps_out, eps_in):
@@ -55,13 +73,13 @@ def _random_null_momentum(rng):
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     energy = rng.uniform(0.5, 2.0)
-    return FourVector(energy, *(energy * direction))
+    return np.array([energy, *(energy * direction)])
 
 
 def _random_legs(rng, rows):
     """Null momenta and arbitrary, non-transverse polarizations, (rows, 4) each."""
-    p_out = np.array([_random_null_momentum(rng).components for _ in range(rows)])
-    p_in = np.array([_random_null_momentum(rng).components for _ in range(rows)])
+    p_out = np.array([_random_null_momentum(rng) for _ in range(rows)])
+    p_in = np.array([_random_null_momentum(rng) for _ in range(rows)])
     return p_out, p_in, rng.normal(size=(rows, 4)), rng.normal(size=(rows, 4))
 
 
@@ -179,10 +197,10 @@ class TestPropagatorNumerator:
 class TestExchangeMomenta:
     @pytest.mark.parametrize("theta", [0.3, 1.0, math.pi / 2, 2.5])
     def test_channel_q_squared(self, theta):
-        config = com_config(theta)
-        t_leg = config.p1 - config.p3
-        u_leg = config.p1 - config.p4
-        s_leg = config.p1 + config.p2
+        p1, p2, p3, p4 = com_arrays(theta)[0]
+        t_leg = p1 - p3
+        u_leg = p1 - p4
+        s_leg = p1 + p2
         assert_allclose(minkowski_dot(t_leg, t_leg),
                         -2.0 * (1.0 - math.cos(theta)), rtol=1e-13, atol=1e-15)
         assert_allclose(minkowski_dot(u_leg, u_leg),
@@ -190,16 +208,14 @@ class TestExchangeMomenta:
         assert minkowski_dot(s_leg, s_leg) == 4.0
 
     def test_forward_pole_raises(self):
-        config = com_config(1e-6)
-        with pytest.raises(PoleError):
-            diagram_amplitude(DiagramChannel.T_CHANNEL, config, (1, 1, 1, 1))
-        with pytest.raises(PoleError):
-            diagram_sum_matrix(config)
+        with pytest.raises(PoleError, match="t-channel"):
+            _pattern_channels(1e-6, (1, 1, 1, 1))
+        with pytest.raises(PoleError, match="t-channel"):
+            diagram_sum_grid([1e-6])
 
     def test_backward_pole_raises(self):
-        config = com_config(math.pi - 1e-6)
-        with pytest.raises(PoleError):
-            diagram_amplitude(DiagramChannel.U_CHANNEL, config, (1, 1, 1, 1))
+        with pytest.raises(PoleError, match="u-channel"):
+            _pattern_channels(math.pi - 1e-6, (1, 1, 1, 1))
 
     def test_pole_error_is_value_error(self):
         assert issubclass(PoleError, ValueError)
@@ -213,25 +229,21 @@ class TestExchangeMomenta:
 
 class TestDiagramSum:
     def test_right_angle_cross_element(self):
-        config = com_config(math.pi / 2)
-        value = amplitude_sum(config, (1, 2, 1, 2))
-        assert_allclose(value.real, -8.0, rtol=1e-12)
-        assert value.imag == 0.0
+        value = _pattern_channels(math.pi / 2, (1, 2, 1, 2)).sum()
+        assert_allclose(value, -8.0, rtol=1e-12)
 
     def test_pi_third_cross_element(self):
-        config = com_config(math.pi / 3)
-        value = amplitude_sum(config, (1, 2, 1, 2))
-        assert_allclose(value.real, -14.0, rtol=1e-12)
+        value = _pattern_channels(math.pi / 3, (1, 2, 1, 2)).sum()
+        assert_allclose(value, -14.0, rtol=1e-12)
 
     def test_matches_closed_forms_on_grid(self):
+        grid = np.linspace(0.05, math.pi - 0.05, 25)
         worst = 0.0
-        for theta in np.linspace(0.05, math.pi - 0.05, 25):
-            computed = diagram_sum_matrix(com_config(theta))
-            reference = closed_form_matrix(theta)
-            scale = float(np.max(np.abs(reference.values)))
+        for computed, reference in zip(diagram_sum_grid(grid), closed_form_grid(grid)):
+            scale = float(np.max(np.abs(reference)))
             for pattern in ALL_PATTERNS:
-                want = reference.element(*pattern)
-                got = computed.element(*pattern)
+                want = reference[_index(pattern)]
+                got = computed[_index(pattern)]
                 if abs(want) > 0.0:
                     worst = max(worst, abs(got - want) / abs(want))
                 else:
@@ -240,82 +252,72 @@ class TestDiagramSum:
 
     @pytest.mark.parametrize("theta", [0.4, 1.3, 2.8])
     def test_parity_odd_patterns_vanish(self, theta):
-        matrix = diagram_sum_matrix(com_config(theta))
-        scale = float(np.max(np.abs(matrix.values)))
+        values = diagram_sum_grid([theta])[0]
+        scale = float(np.max(np.abs(values)))
         for pattern in ZERO_PATTERNS:
-            assert abs(matrix.element(*pattern)) <= 1e-15 * scale
+            assert abs(values[_index(pattern)]) <= 1e-15 * scale
 
-    def test_matrix_agrees_with_per_pattern_sums(self):
-        config = com_config(1.1)
-        matrix = diagram_sum_matrix(config)
+    def test_grid_agrees_with_per_pattern_sums(self):
+        values = diagram_sum_grid([1.1])[0]
         for pattern in ALL_PATTERNS:
-            assert_allclose(matrix.element(*pattern).real,
-                            amplitude_sum(config, pattern).real,
+            assert_allclose(values[_index(pattern)],
+                            _pattern_channels(1.1, pattern).sum(),
                             rtol=1e-14, atol=1e-14)
 
     def test_values_are_real(self):
-        matrix = diagram_sum_matrix(com_config(0.9))
-        assert np.all(matrix.values.imag == 0.0)
+        assert diagram_sum_grid([0.9]).dtype == np.float64
+        assert _pattern_channels(0.9, (1, 2, 1, 2)).dtype == np.float64
 
     def test_sum_is_gauge_invariant(self):
         rng = np.random.default_rng(30)
         for theta in (0.5, math.pi / 2, 2.4):
-            config = com_config(theta)
             for pattern in ((1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 1, 2), (2, 2, 2, 2)):
-                base = amplitude_sum(config, pattern)
+                momenta, pols = _legs(theta, pattern)
+                base = channel_amplitudes(momenta, pols).sum()
                 for photon in (1, 2, 3, 4):
                     xi = float(rng.uniform(-10.0, 10.0))
-                    label = pattern[photon - 1]
-                    shifted = config.replaced_polarization(
-                        photon, label,
-                        gauge_shift(config.polarization(photon, label),
-                                    config.momentum(photon), xi))
-                    moved = amplitude_sum(shifted, pattern)
+                    shifted = _shifted(pols, photon, xi * momenta[photon - 1])
+                    moved = channel_amplitudes(momenta, shifted).sum()
                     assert abs(moved - base) <= 1e-12 * abs(base)
 
     def test_each_single_diagram_is_gauge_invariant(self):
         # the vertex is transverse in both photon slots, so even one topology
         # on its own must not move under a gauge shift
-        config = com_config(1.2)
-        pattern = (1, 2, 1, 2)
-        for channel in DiagramChannel:
-            base = diagram_amplitude(channel, config, pattern)
-            for photon in (1, 2, 3, 4):
-                label = pattern[photon - 1]
-                shifted = config.replaced_polarization(
-                    photon, label,
-                    gauge_shift(config.polarization(photon, label),
-                                config.momentum(photon), 2.5))
-                moved = diagram_amplitude(channel, shifted, pattern)
-                assert abs(moved - base) <= 1e-12 * max(abs(base), 1.0)
+        momenta, pols = _legs(1.2, (1, 2, 1, 2))
+        base = channel_amplitudes(momenta, pols)
+        for photon in (1, 2, 3, 4):
+            shifted = _shifted(pols, photon, 2.5 * momenta[photon - 1])
+            moved = channel_amplitudes(momenta, shifted)
+            for channel in range(3):
+                assert abs(moved[channel] - base[channel]) <= \
+                    1e-12 * max(abs(base[channel]), 1.0)
 
     def test_perturbed_vertex_breaks_the_match(self):
         theta = 1.0
-        reference = closed_form_matrix(theta)
-        perturbed = diagram_sum_matrix(com_config(theta), vertex_perturbation=1e-3)
+        reference = closed_form_grid([theta])[0]
+        perturbed = diagram_sum_grid([theta], vertex_perturbation=1e-3)[0]
         worst = 0.0
         for pattern in NONZERO_PATTERNS:
-            want = reference.element(*pattern)
-            worst = max(worst, abs(perturbed.element(*pattern) - want) / abs(want))
+            want = reference[_index(pattern)]
+            worst = max(worst, abs(perturbed[_index(pattern)] - want) / abs(want))
         assert worst > 1e-7
 
     def test_pattern_validation(self):
-        config = com_config(1.0)
         with pytest.raises(ValueError):
-            amplitude_sum(config, (1, 2, 3, 1))
+            closed_form_element((1, 2, 3, 1), 1.0)
         with pytest.raises(ValueError):
-            amplitude_sum(config, (1, 2, 1))
+            closed_form_element((1, 2, 1), 1.0)
 
 
 class TestDiagramSumGrid:
     @pytest.mark.parametrize("samples", [1, CHUNK_ANGLES - 1, CHUNK_ANGLES,
                                          CHUNK_ANGLES + 1, 1000])
-    def test_matches_per_angle_matrices(self, samples):
+    def test_matches_one_element_grids(self, samples):
         grid = np.linspace(0.05, math.pi - 0.05, samples)
         batched = diagram_sum_grid(grid)
         assert batched.shape == (samples, 2, 2, 2, 2)
         for theta, values in zip(grid, batched):
-            single = diagram_sum_matrix(com_config(float(theta))).values.real
+            single = diagram_sum_grid([theta])[0]
             scale = float(np.max(np.abs(single)))
             assert np.max(np.abs(values - single)) <= 1e-12 * scale
 
@@ -380,36 +382,12 @@ class TestClosedForm:
         grid = np.linspace(1e-7, math.pi - 1e-7, 1667)
         for theta, row in zip(grid, closed_form_grid(grid)):
             for pattern in ALL_PATTERNS:
-                got = row[tuple(label - 1 for label in pattern)]
+                got = row[_index(pattern)]
                 assert got == closed_form_element(pattern, float(theta))
 
-    def test_matrix_is_real_and_consistent(self):
+    def test_one_element_grid_is_real_and_consistent(self):
         theta = 0.8
-        matrix = closed_form_matrix(theta)
-        assert np.all(matrix.values.imag == 0.0)
+        values = closed_form_grid([theta])[0]
+        assert values.dtype == np.float64
         for pattern in ALL_PATTERNS:
-            assert matrix.element(*pattern) == closed_form_element(pattern, theta)
-
-
-class TestAmplitudeMatrix:
-    def test_element_label_validation(self):
-        matrix = closed_form_matrix(1.0)
-        with pytest.raises(ValueError):
-            matrix.element(0, 1, 1, 1)
-        with pytest.raises(ValueError):
-            matrix.element(1, 1, 1, 3)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            AmplitudeMatrix(1.0, np.zeros((2, 2)))
-
-    def test_finite_validation(self):
-        values = np.zeros((2, 2, 2, 2), dtype=complex)
-        values[0, 0, 0, 0] = math.nan
-        with pytest.raises(ValueError):
-            AmplitudeMatrix(1.0, values)
-
-    def test_values_read_only(self):
-        matrix = closed_form_matrix(1.0)
-        with pytest.raises(ValueError):
-            matrix.values[0, 0, 0, 0] = 5.0
+            assert values[_index(pattern)] == closed_form_element(pattern, theta)

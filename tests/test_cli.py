@@ -209,6 +209,16 @@ class TestVerify:
         for name, deviation in report.pattern_deviations.items():
             assert deviation <= 1e-9, name
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--seed", "0"], 0),
+        (["--tolerance", "inf", "--gauge-tolerance", "inf"], 0),
+        (["--tolerance", "0"], 1),
+        (["--gauge-tolerance", "0"], 1),
+    ])
+    def test_option_bounds_are_not_usage_errors(self, argv, code, capsys):
+        assert main(["verify", "--samples", "5", *argv]) == code
+        assert capsys.readouterr().out.endswith(f"result: {'FAIL' if code else 'PASS'}\n")
+
     def test_tight_tolerance_can_fail(self):
         report = build_verify_report(samples=5, tolerance=1e-17,
                                      gauge_tolerance=1e-17)
@@ -258,6 +268,20 @@ class TestUnevaluableInputs:
         (["qed-scan", "--lambda", "1e-80"], "division by zero"),
         (["dcs-scan", "--units", "si", "--lambda", "1e300"], "out of range"),
         (["coincidence-scan", "--delta-max", "inf"], "finite"),
+        (["verify", "--seed", "-1"], "--seed must be non-negative"),
+        (["verify", "--tolerance", "nan"], "--tolerance must be a non-negative"),
+        (["verify", "--tolerance=-1e-9", "--format", "json"], "--tolerance must be"),
+        (["verify", "--gauge-tolerance", "nan"], "--gauge-tolerance must be"),
+        (["verify", "--gauge-tolerance=-1"], "--gauge-tolerance must be"),
+        (["si", "--lambda", "inf"], "--lambda must be finite and positive"),
+        (["si", "--lambda=-1e-7"], "--lambda must be finite and positive"),
+        (["si", "--lambda", "0"], "--lambda must be finite and positive"),
+        (["si", "--lambda", "nan", "--theory", "qed"], "--lambda must be finite"),
+        (["dcs-scan", "--units", "si", "--lambda", "inf"], "--lambda must be finite"),
+        (["dcs-scan", "--units", "si", "--lambda", "inf", "--format", "json"],
+         "--lambda must be finite"),
+        (["qed-scan", "--lambda", "inf"], "--lambda must be finite"),
+        (["qed-scan", "--lambda=-inf", "--format", "json"], "--lambda must be finite"),
     ])
     def test_usage_error(self, argv, words, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gravscatter.amplitudes import AmplitudeMatrix, closed_form_matrix
+from gravscatter.amplitudes import closed_form_grid, diagram_sum_grid
 from gravscatter.cross_sections import (
     DEFAULT_CONSTANTS,
     PhysicalConstants,
@@ -41,11 +41,10 @@ def _random_unitary(rng) -> np.ndarray:
     return q * (phases / np.abs(phases))[None, :]
 
 
-def _rotate_incoming_basis(matrix: AmplitudeMatrix, u: np.ndarray,
-                           v: np.ndarray) -> AmplitudeMatrix:
+def _rotate_incoming_basis(matrix: np.ndarray, u: np.ndarray,
+                           v: np.ndarray) -> np.ndarray:
     # m'[A,B,c,d] = sum_ab conj(u[A,a]) conj(v[B,b]) m[a,b,c,d]
-    values = np.einsum("Aa,Bb,abcd->ABcd", np.conj(u), np.conj(v), matrix.values)
-    return AmplitudeMatrix(matrix.theta, values)
+    return np.einsum("Aa,Bb,abcd->ABcd", np.conj(u), np.conj(v), matrix)
 
 
 class TestTwoPhotonPolState:
@@ -121,8 +120,8 @@ class TestAveraged:
         # the average must equal (1/4) sum over incoming basis states of the
         # general contraction, which collapses to sum |m|^2 / 16
         for theta in np.linspace(0.3, math.pi - 0.3, 11):
-            matrix = closed_form_matrix(theta)
-            mean = np.sum(np.abs(matrix.values) ** 2) / 16.0
+            matrix = closed_form_grid([theta])[0]
+            mean = np.sum(np.abs(matrix) ** 2) / 16.0
             assert_allclose(dcs_averaged(theta), mean, rtol=1e-12)
 
     @pytest.mark.parametrize("theta", [0.0, math.pi, -0.5, math.nan])
@@ -149,11 +148,11 @@ class TestEntangledPqg:
         phis = np.linspace(0.0, math.pi / 2, 10)
         rhos = np.linspace(-math.pi / 2, 3 * math.pi / 2, 10, endpoint=False)
         for theta in np.linspace(0.3, math.pi - 0.3, 10):
-            matrix = closed_form_matrix(theta)
+            matrix = closed_form_grid([theta])[0]
             for phi, rho in itertools.product(phis, rhos):
                 state = TwoPhotonPolState.from_angles(phi, rho)
                 closed = dcs_entangled_pqg(theta, state)
-                general = dcs_general_state(theta, state, matrix)
+                general = dcs_general_state(state, matrix)
                 assert abs(closed - general) <= 1e-12 * max(abs(closed), 1.0)
 
     def test_depends_only_on_interference_weight(self):
@@ -194,36 +193,59 @@ class TestEntangledPqg:
 class TestGeneralState:
     def test_single_basis_state_anchor(self):
         # incoming (1, 1) at a right angle: (81 + 49) / 4
-        matrix = closed_form_matrix(math.pi / 2)
-        value = dcs_general_state(math.pi / 2, _basis_state(1, 1), matrix)
+        matrix = closed_form_grid([math.pi / 2])[0]
+        value = dcs_general_state(_basis_state(1, 1), matrix)
         assert_allclose(value, 32.5, rtol=1e-13)
 
     def test_non_negative_for_random_states(self):
         rng = np.random.default_rng(40)
         for theta in (0.5, 1.5, 2.5):
-            matrix = closed_form_matrix(theta)
+            matrix = closed_form_grid([theta])[0]
             for _ in range(20):
-                value = dcs_general_state(theta, _random_state(rng), matrix)
+                value = dcs_general_state(_random_state(rng), matrix)
                 assert value >= 0.0
 
     def test_basis_independence(self):
         rng = np.random.default_rng(41)
         theta = 1.3
-        matrix = closed_form_matrix(theta)
+        matrix = closed_form_grid([theta])[0]
         state = _random_state(rng)
-        reference = dcs_general_state(theta, state, matrix)
+        reference = dcs_general_state(state, matrix)
         for _ in range(10):
             u = _random_unitary(rng)
             v = _random_unitary(rng)
             rotated_state = TwoPhotonPolState(u @ state.coefficients @ v.T)
             rotated_matrix = _rotate_incoming_basis(matrix, u, v)
-            value = dcs_general_state(theta, rotated_state, rotated_matrix)
+            value = dcs_general_state(rotated_state, rotated_matrix)
             assert_allclose(value, reference, rtol=1e-12)
 
-    def test_theta_mismatch_rejected(self):
-        matrix = closed_form_matrix(1.0)
-        with pytest.raises(ValueError):
-            dcs_general_state(1.5, TwoPhotonPolState.psi_plus(), matrix)
+    def test_result_shape_follows_the_leading_axes(self):
+        grid = np.array([[0.4, 1.1, 2.0], [0.7, 1.6, 2.9]])
+        amplitudes = closed_form_grid(grid.ravel()).reshape(grid.shape + (2, 2, 2, 2))
+        state = TwoPhotonPolState.psi_plus()
+        values = dcs_general_state(state, amplitudes)
+        assert values.shape == grid.shape
+        flat = amplitudes.reshape(-1, 2, 2, 2, 2)
+        assert np.array_equal(values.ravel(), dcs_general_state(state, flat))
+        assert isinstance(dcs_general_state(state, amplitudes[1, 2]), float)
+
+    def test_grid_equals_per_angle_calls_and_closed_form(self):
+        grid = np.linspace(0.05, math.pi - 0.05, 301)
+        rng = np.random.default_rng(42)
+        two_term = [TwoPhotonPolState.psi_plus(), TwoPhotonPolState.psi_minus(),
+                    TwoPhotonPolState.from_angles(0.0, 0.0),
+                    TwoPhotonPolState.from_angles(0.4, 1.0)]
+        for amplitudes in (closed_form_grid(grid), diagram_sum_grid(grid)):
+            for state in two_term + [_random_state(rng) for _ in range(3)]:
+                values = dcs_general_state(state, amplitudes)
+                assert values.shape == grid.shape
+                for value, row in zip(values, amplitudes):
+                    single = dcs_general_state(state, row)
+                    assert isinstance(single, float) and value == single
+            for state in two_term:
+                closed = dcs_entangled_pqg(grid, state)
+                general = dcs_general_state(state, amplitudes)
+                assert np.all(np.abs(closed - general) <= 1e-12 * np.maximum(closed, 1.0))
 
 
 class TestRelativePhase:

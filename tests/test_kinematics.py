@@ -8,56 +8,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gravscatter.kinematics import (
-    PARALLEL,
-    PERPENDICULAR,
-    check_theta,
-    com_arrays,
-    com_config,
-    gauge_shift,
-)
-from gravscatter.lorentz import FourVector, minkowski_dot
+from gravscatter.kinematics import check_theta, com_arrays
+from gravscatter.lorentz import minkowski_dot
 
 angles = st.floats(min_value=1e-3, max_value=math.pi - 1e-3)
+
+PERPENDICULAR, PARALLEL = 0, 1  # label - 1
 
 
 @given(theta=angles)
 @settings(max_examples=150, deadline=None)
 def test_all_momenta_null(theta):
-    config = com_config(theta)
-    for photon in (1, 2, 3, 4):
-        p = config.momentum(photon)
+    momenta, _ = com_arrays(theta)
+    for p in momenta:
         assert abs(minkowski_dot(p, p)) <= 1e-14
 
 
 @given(theta=angles)
 @settings(max_examples=150, deadline=None)
 def test_momentum_conservation(theta):
-    config = com_config(theta)
-    total = config.p1 + config.p2 - config.p3 - config.p4
-    assert np.all(np.abs(total.components) <= 1e-14)
+    p1, p2, p3, p4 = com_arrays(theta)[0]
+    total = p1 + p2 - p3 - p4
+    assert np.all(np.abs(total) <= 1e-14)
 
 
 @given(theta=angles)
 @settings(max_examples=150, deadline=None)
 def test_transversality(theta):
-    config = com_config(theta)
-    for photon in (1, 2, 3, 4):
-        p = config.momentum(photon)
-        for label in (PERPENDICULAR, PARALLEL):
-            eps = config.polarization(photon, label)
+    momenta, basis = com_arrays(theta)
+    for p, pair in zip(momenta, basis):
+        for eps in pair:
             assert abs(minkowski_dot(eps, p)) <= 1e-14
 
 
 @given(theta=angles)
 @settings(max_examples=150, deadline=None)
 def test_polarization_orthonormality(theta):
-    config = com_config(theta)
-    for photon in (1, 2, 3, 4):
+    _, basis = com_arrays(theta)
+    for pair in basis:
         for a in (PERPENDICULAR, PARALLEL):
             for b in (PERPENDICULAR, PARALLEL):
-                dot = minkowski_dot(config.polarization(photon, a),
-                                    config.polarization(photon, b))
+                dot = minkowski_dot(pair[a], pair[b])
                 expected = -1.0 if a == b else 0.0
                 assert abs(dot - expected) <= 1e-14
 
@@ -65,48 +56,42 @@ def test_polarization_orthonormality(theta):
 @given(theta=angles)
 @settings(max_examples=150, deadline=None)
 def test_counter_propagating_pairs(theta):
-    config = com_config(theta)
-    assert np.array_equal(config.p2.components[1:], -config.p1.components[1:])
-    assert np.array_equal(config.p4.components[1:], -config.p3.components[1:])
+    p1, p2, p3, p4 = com_arrays(theta)[0]
+    assert np.array_equal(p2[1:], -p1[1:])
+    assert np.array_equal(p4[1:], -p3[1:])
 
 
 class TestFixedAngles:
     def test_right_angle_momenta(self):
-        config = com_config(math.pi / 2)
-        assert config.p1 == FourVector(1.0, 0.0, 0.0, 1.0)
-        assert config.p2 == FourVector(1.0, 0.0, 0.0, -1.0)
-        assert_allclose(config.p3.components, [1.0, 1.0, 0.0, 0.0], atol=1e-15)
-        assert_allclose(config.p4.components, [1.0, -1.0, 0.0, 0.0], atol=1e-15)
+        p1, p2, p3, p4 = com_arrays(math.pi / 2)[0]
+        assert np.array_equal(p1, [1.0, 0.0, 0.0, 1.0])
+        assert np.array_equal(p2, [1.0, 0.0, 0.0, -1.0])
+        assert_allclose(p3, [1.0, 1.0, 0.0, 0.0], atol=1e-15)
+        assert_allclose(p4, [1.0, -1.0, 0.0, 0.0], atol=1e-15)
 
     def test_right_angle_polarizations(self):
-        config = com_config(math.pi / 2)
-        perp = FourVector(0.0, 0.0, 1.0, 0.0)
-        for photon in (1, 2, 3, 4):
-            assert config.polarization(photon, PERPENDICULAR) == perp
-        assert config.polarization(1, PARALLEL) == FourVector(0.0, 1.0, 0.0, 0.0)
-        assert config.polarization(2, PARALLEL) == FourVector(0.0, -1.0, 0.0, 0.0)
-        assert_allclose(config.polarization(3, PARALLEL).components,
-                        [0.0, 0.0, 0.0, -1.0], atol=1e-15)
-        assert_allclose(config.polarization(4, PARALLEL).components,
-                        [0.0, 0.0, 0.0, 1.0], atol=1e-15)
+        _, basis = com_arrays(math.pi / 2)
+        for pair in basis:
+            assert np.array_equal(pair[PERPENDICULAR], [0.0, 0.0, 1.0, 0.0])
+        assert np.array_equal(basis[0, PARALLEL], [0.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(basis[1, PARALLEL], [0.0, -1.0, 0.0, 0.0])
+        assert_allclose(basis[2, PARALLEL], [0.0, 0.0, 0.0, -1.0], atol=1e-15)
+        assert_allclose(basis[3, PARALLEL], [0.0, 0.0, 0.0, 1.0], atol=1e-15)
 
     def test_mandelstam_products_at_pi_third(self):
-        config = com_config(math.pi / 3)
-        assert minkowski_dot(config.p1, config.p2) == 2.0
-        assert_allclose(minkowski_dot(config.p1, config.p3), 0.5, rtol=1e-15)
-        assert_allclose(minkowski_dot(config.p1, config.p4), 1.5, rtol=1e-15)
+        p1, p2, p3, p4 = com_arrays(math.pi / 3)[0]
+        assert minkowski_dot(p1, p2) == 2.0
+        assert_allclose(minkowski_dot(p1, p3), 0.5, rtol=1e-15)
+        assert_allclose(minkowski_dot(p1, p4), 1.5, rtol=1e-15)
 
 
 def test_mandelstam_relations_on_grid():
     # s + t + u = 0 for massless external legs, with s pinned to 4.
     for theta in np.linspace(0.1, math.pi - 0.1, 29):
-        config = com_config(theta)
-        s_total = config.p1 + config.p2
-        t_total = config.p1 - config.p3
-        u_total = config.p1 - config.p4
-        s = minkowski_dot(s_total, s_total)
-        t = minkowski_dot(t_total, t_total)
-        u = minkowski_dot(u_total, u_total)
+        p1, p2, p3, p4 = com_arrays(theta)[0]
+        s = minkowski_dot(p1 + p2, p1 + p2)
+        t = minkowski_dot(p1 - p3, p1 - p3)
+        u = minkowski_dot(p1 - p4, p1 - p4)
         assert s == 4.0
         assert_allclose(t, -2.0 * (1.0 - math.cos(theta)), rtol=1e-13, atol=1e-15)
         assert_allclose(u, -2.0 * (1.0 + math.cos(theta)), rtol=1e-13, atol=1e-15)
@@ -117,7 +102,9 @@ def test_mandelstam_relations_on_grid():
                                    math.nan, math.inf])
 def test_domain_errors(theta):
     with pytest.raises(ValueError):
-        com_config(theta)
+        com_arrays(theta)
+    with pytest.raises(ValueError):
+        com_arrays([1.0, theta])
 
 
 def test_check_theta_scalars_and_arrays():
@@ -131,64 +118,23 @@ def test_check_theta_scalars_and_arrays():
             check_theta(np.array([0.5, bad, 0.7]))
 
 
-def test_com_arrays_match_config_on_any_shape():
+def test_com_arrays_match_single_angles_on_any_shape():
     grid = np.array([[0.3, 1.2], [2.0, 2.9]])
     momenta, basis = com_arrays(grid)
     assert momenta.shape == (2, 2, 4, 4)
     assert basis.shape == (2, 2, 4, 2, 4)
-    config = com_config(2.0)
-    for photon in (1, 2, 3, 4):
-        assert_allclose(momenta[1, 0, photon - 1], config.momentum(photon).components,
-                        rtol=0.0, atol=1e-15)
-        for label in (PERPENDICULAR, PARALLEL):
-            assert_allclose(basis[1, 0, photon - 1, label - 1],
-                            config.polarization(photon, label).components,
-                            rtol=0.0, atol=1e-15)
+    single_momenta, single_basis = com_arrays(2.0)
+    assert single_momenta.shape == (4, 4)
+    assert single_basis.shape == (4, 2, 4)
+    assert_allclose(momenta[1, 0], single_momenta, rtol=0.0, atol=1e-15)
+    assert_allclose(basis[1, 0], single_basis, rtol=0.0, atol=1e-15)
 
 
-def test_accessor_validation():
-    config = com_config(1.0)
-    with pytest.raises(ValueError):
-        config.momentum(0)
-    with pytest.raises(ValueError):
-        config.momentum(5)
-    with pytest.raises(ValueError):
-        config.polarization(1, 0)
-    with pytest.raises(ValueError):
-        config.polarization(1, 3)
-
-
-def test_replaced_polarization_swaps_one_entry():
-    config = com_config(1.0)
-    substitute = FourVector(0.0, 0.5, 0.5, 0.0)
-    swapped = config.replaced_polarization(3, PARALLEL, substitute)
-    assert swapped.polarization(3, PARALLEL) == substitute
-    assert swapped.polarization(3, PERPENDICULAR) == config.polarization(3, PERPENDICULAR)
-    for photon in (1, 2, 4):
-        for label in (PERPENDICULAR, PARALLEL):
-            assert swapped.polarization(photon, label) == config.polarization(photon, label)
-    # the original stays untouched
-    assert config.polarization(3, PARALLEL) != substitute
-
-
-class TestGaugeShift:
-    def test_example(self):
-        eps = FourVector(0.0, 1.0, 0.0, 0.0)
-        p = FourVector(1.0, 0.0, 0.0, 1.0)
-        assert gauge_shift(eps, p, 2.0) == FourVector(2.0, 1.0, 0.0, 2.0)
-
-    def test_zero_shift_is_identity(self):
-        eps = FourVector(0.0, 0.0, 1.0, 0.0)
-        p = FourVector(1.0, 0.0, 0.0, 1.0)
-        assert gauge_shift(eps, p, 0.0) == eps
-
-    @given(theta=angles, xi=st.floats(min_value=-10.0, max_value=10.0))
-    @settings(max_examples=150, deadline=None)
-    def test_preserves_transversality_and_norm(self, theta, xi):
-        config = com_config(theta)
-        for photon in (1, 2, 3, 4):
-            p = config.momentum(photon)
-            eps = config.polarization(photon, PARALLEL)
-            shifted = gauge_shift(eps, p, xi)
-            assert abs(minkowski_dot(shifted, p)) <= 1e-13
-            assert abs(minkowski_dot(shifted, shifted) + 1.0) <= 1e-12
+@given(theta=angles, xi=st.floats(min_value=-10.0, max_value=10.0))
+@settings(max_examples=150, deadline=None)
+def test_gauge_shift_preserves_transversality_and_norm(theta, xi):
+    momenta, basis = com_arrays(theta)
+    for p, eps in zip(momenta, basis[:, PARALLEL]):
+        shifted = eps + xi * p
+        assert abs(minkowski_dot(shifted, p)) <= 1e-13
+        assert abs(minkowski_dot(shifted, shifted) + 1.0) <= 1e-12
