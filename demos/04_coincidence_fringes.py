@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from gravscatter import (
-    CoincidenceQuery,
     TwoPhotonPolState,
     coincidence_factor,
     separation_to_phase,
@@ -28,7 +27,7 @@ states = (
 print("coincidence factor versus path-length phase (columns per state)")
 print(f"{'delta':>8} " + " ".join(f"{name:>10}" for name, _ in states))
 for delta in np.linspace(0.0, 2.0 * math.pi, 13):
-    row = [coincidence_factor(CoincidenceQuery(delta, state)) for _, state in states]
+    row = [coincidence_factor(delta, state) for _, state in states]
     print(f"{delta:8.4f} " + " ".join(f"{value:10.4f}" for value in row))
 
 print()
@@ -41,7 +40,7 @@ print("detector separation maps to phase as delta = 2 d / lambda")
 wavelength = 500e-9
 for separation in (0.0, math.pi * wavelength / 4, math.pi * wavelength / 2):
     delta = separation_to_phase(separation, wavelength)
-    factor = coincidence_factor(CoincidenceQuery(delta, states[0][1]))
+    factor = coincidence_factor(delta, states[0][1])
     print(f"  d = {separation * 1e9:6.1f} nm -> delta = {delta:6.4f} rad, factor {factor:.4f}")
 print("sliding the detectors by pi lambda / 4 takes the symmetric state from")
 print("doubled coincidences to the uncorrelated rate, and twice that distance")
@@ -51,6 +50,6 @@ print()
 print("intermediate entanglement interpolates the contrast")
 for phi_frac, label in ((1 / 8, "phi = pi/8"), (1 / 4, "phi = pi/4")):
     state = TwoPhotonPolState.from_angles(phi_frac * math.pi, 0.0)
-    peak = coincidence_factor(CoincidenceQuery(0.0, state))
-    trough = coincidence_factor(CoincidenceQuery(math.pi, state))
+    peak = coincidence_factor(0.0, state)
+    trough = coincidence_factor(math.pi, state)
     print(f"  {label}: factor ranges {trough:.4f} .. {peak:.4f}")

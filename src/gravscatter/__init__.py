@@ -12,62 +12,18 @@ components on the last axis, and the amplitudes over N angles have shape
 (N, 2, 2, 2, 2), indexed by the four polarization labels minus one.
 """
 
-from .lorentz import METRIC, minkowski_dot
-from .kinematics import com_arrays
-from .amplitudes import (
-    POLE_TOLERANCE,
-    PoleError,
-    contracted_vertex,
-    graviton_coupling,
-    channel_amplitudes,
-    diagram_sum_grid,
-    closed_form_element,
-    closed_form_grid,
-)
-from .qed import QedContext, qed_element_1212, qed_element_1221
-from .cross_sections import (
-    PhysicalConstants,
-    DEFAULT_CONSTANTS,
-    TwoPhotonPolState,
-    dcs_averaged,
-    dcs_entangled_pqg,
-    dcs_general_state,
-    relative_phase,
-    qed_bracket,
-    dcs_entangled_qed,
-    si_convert,
-)
-from .coincidence import CoincidenceQuery, coincidence_factor, separation_to_phase
+from . import amplitudes, coincidence, constants, cross_sections, kinematics, lorentz, qed
+from .lorentz import *
+from .kinematics import *
+from .amplitudes import *
+from .qed import *
+from .cross_sections import *
+from .coincidence import *
+from .constants import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "METRIC",
-    "minkowski_dot",
-    "com_arrays",
-    "POLE_TOLERANCE",
-    "PoleError",
-    "contracted_vertex",
-    "graviton_coupling",
-    "channel_amplitudes",
-    "diagram_sum_grid",
-    "closed_form_element",
-    "closed_form_grid",
-    "QedContext",
-    "qed_element_1212",
-    "qed_element_1221",
-    "PhysicalConstants",
-    "DEFAULT_CONSTANTS",
-    "TwoPhotonPolState",
-    "dcs_averaged",
-    "dcs_entangled_pqg",
-    "dcs_general_state",
-    "relative_phase",
-    "qed_bracket",
-    "dcs_entangled_qed",
-    "si_convert",
-    "CoincidenceQuery",
-    "coincidence_factor",
-    "separation_to_phase",
-    "__version__",
-]
+# Every public name of every module, stated once in that module's __all__.
+__all__ = [name for module in (lorentz, kinematics, amplitudes, qed, cross_sections,
+                               coincidence, constants)
+           for name in module.__all__] + ["__version__"]

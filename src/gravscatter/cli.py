@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import PoleError, channel_amplitudes, closed_form_grid, diagram_sum_grid
-from .coincidence import CoincidenceQuery, coincidence_factor
+from .coincidence import coincidence_factor
 from .cross_sections import (
     TwoPhotonPolState,
     dcs_averaged,
@@ -375,7 +375,7 @@ def _run_coincidence_scan(args, parser) -> int:
     except ValueError as error:
         parser.error(str(error))
     grid = np.linspace(args.delta_min, args.delta_max, args.samples)
-    columns = {"delta": grid, "factor": coincidence_factor(CoincidenceQuery(grid, state))}
+    columns = {"delta": grid, "factor": coincidence_factor(grid, state)}
     return _emit_table(args, columns, phi=args.phi, rho=args.rho, **columns)
 
 
@@ -385,6 +385,8 @@ def _run_verify(args, parser) -> int:
                               ("--gauge-tolerance", args.gauge_tolerance)):
         if not tolerance >= 0.0:  # NaN included: no deviation would pass it
             parser.error(f"{option} must be a non-negative number")
+    if not math.isfinite(args.perturb_vertex):
+        parser.error("--perturb-vertex must be finite")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
     report = build_verify_report(

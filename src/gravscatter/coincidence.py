@@ -10,38 +10,33 @@ the symmetric Bell state swings the full range [0, 2].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .cross_sections import TwoPhotonPolState
+from .cross_sections import (
+    TwoPhotonPolState,
+    _check_wavelength,
+    _float_or_array,
+    _interference_weight,
+)
 
 __all__ = [
-    "CoincidenceQuery",
     "coincidence_factor",
     "separation_to_phase",
 ]
 
 
-@dataclass(frozen=True)
-class CoincidenceQuery:
-    """Accumulated phase, a float or an array of them, plus the prepared state."""
+def coincidence_factor(phase, state: TwoPhotonPolState):
+    """1 + sin(2 phi) cos(Delta + rho), bounded by [0, 2], at the accumulated phase Delta.
 
-    phase: float | np.ndarray
-    state: TwoPhotonPolState
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.phase)):
-            raise ValueError(f"phase must be finite, got {self.phase}")
-        if self.state.phi is None:
-            raise ValueError(
-                "coincidence factor is defined for the (phi, rho) two-term family")
-
-
-def coincidence_factor(query: CoincidenceQuery):
-    """1 + sin(2 phi) cos(Delta + rho), bounded by [0, 2]; an array for an array of phases."""
-    factor = 1.0 + math.sin(2.0 * query.state.phi) * np.cos(query.phase + query.state.rho)
-    return factor if np.ndim(factor) else float(factor)
+    ``phase`` is a float or an array of them, and an array gives an array.
+    Every phase must be finite, and the state must belong to the (phi, rho)
+    two-term family; otherwise ValueError.
+    """
+    if not np.all(np.isfinite(phase)):
+        raise ValueError(f"phase must be finite, got {phase}")
+    _interference_weight(state)  # raises for a general-coefficient state
+    return _float_or_array(1.0 + math.sin(2.0 * state.phi) * np.cos(phase + state.rho))
 
 
 def separation_to_phase(distance: float, wavelength: float) -> float:
@@ -53,8 +48,7 @@ def separation_to_phase(distance: float, wavelength: float) -> float:
     """
     distance = float(distance)
     wavelength = float(wavelength)
-    if not wavelength > 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    _check_wavelength(wavelength)
     if not distance >= 0.0 or not math.isfinite(distance):
         raise ValueError(f"distance must be finite and non-negative, got {distance}")
     return 2.0 * distance / wavelength

@@ -1,20 +1,26 @@
-"""Physical constants: the CODATA 2022 recommended values, frozen in SI units.
+"""Physical constants: one frozen record of SI values, and the CODATA 2022 set.
 
-These are the exact floats scipy.constants 1.17 supplies, so SI outputs do
-not depend on which scipy, if any, is installed. ``PhysicalConstants`` and
-``QedContext`` take their defaults from this one record.
+``CODATA_2022`` holds the CODATA 2022 recommended values as the exact floats
+scipy.constants 1.17 supplies, so SI outputs do not depend on which scipy,
+if any, is installed. ``si_convert`` and ``dcs_entangled_qed`` take it as
+their default ``constants=``; build another ``Constants`` to study how a
+result depends on one of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
-__all__ = ["Codata", "CODATA_2022"]
+__all__ = ["Constants", "CODATA_2022"]
 
 
 @dataclass(frozen=True)
-class Codata:
-    """One set of SI constants: G, hbar, c, electron mass and alpha."""
+class Constants:
+    """One set of SI constants: G, hbar, c, electron mass and alpha.
+
+    Each must be finite and positive.
+    """
 
     newton_constant: float
     hbar: float
@@ -22,8 +28,24 @@ class Codata:
     electron_mass: float
     fine_structure: float
 
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{field.name} must be finite and positive, got {value}")
 
-CODATA_2022 = Codata(
+    @property
+    def planck_length(self) -> float:
+        """sqrt(G hbar / c^3), about 1.616e-35 m."""
+        return math.sqrt(self.newton_constant * self.hbar / self.c ** 3)
+
+    @property
+    def compton_wavelength(self) -> float:
+        """Reduced electron Compton wavelength hbar c / (m c^2), about 3.86e-13 m."""
+        return self.hbar * self.c / (self.electron_mass * self.c ** 2)
+
+
+CODATA_2022 = Constants(
     newton_constant=6.6743e-11,
     hbar=1.0545718176461565e-34,
     c=299792458.0,

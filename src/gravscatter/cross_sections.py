@@ -24,18 +24,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .amplitudes import closed_form_element
-from .constants import CODATA_2022
+from .constants import CODATA_2022, Constants
 from .kinematics import check_theta
-from .qed import QedContext
 
 __all__ = [
-    "PhysicalConstants",
-    "DEFAULT_CONSTANTS",
     "TwoPhotonPolState",
     "dcs_averaged",
     "dcs_entangled_pqg",
@@ -45,28 +41,6 @@ __all__ = [
     "dcs_entangled_qed",
     "si_convert",
 ]
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """SI inputs for unit conversion; defaults are the CODATA 2022 values."""
-
-    newton_constant: float = CODATA_2022.newton_constant
-    hbar: float = CODATA_2022.hbar
-    c: float = CODATA_2022.c
-
-    def __post_init__(self):
-        for name in ("newton_constant", "hbar", "c"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
-    @property
-    def planck_length(self) -> float:
-        """sqrt(G hbar / c^3), about 1.616e-35 m."""
-        return math.sqrt(self.newton_constant * self.hbar / self.c ** 3)
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
 
 
 class TwoPhotonPolState:
@@ -163,15 +137,21 @@ def _interference_weight(state: TwoPhotonPolState) -> float:
     if weight is None:
         raise ValueError(
             "closed form needs the (phi, rho) two-term family; general "
-            "coefficient states go through dcs_general_state")
+            "coefficient states go only through dcs_general_state")
     return weight
+
+
+def _check_wavelength(wavelength) -> None:
+    """Raise ValueError unless the wavelength is finite and positive."""
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be finite and positive, got {wavelength}")
 
 
 def dcs_averaged(theta):
     """Polarization-averaged reduced cross section.
 
     32 [1 + cos^16(theta/2) + sin^16(theta/2)] / sin^4(theta), which equals
-    one quarter of the mean of |m|^2 over the 16 elements.
+    the mean of |m|^2 over the 16 elements.
     """
     theta = check_theta(theta)
     half = 0.5 * theta
@@ -244,31 +224,24 @@ def qed_bracket(theta, state: TwoPhotonPolState):
                            + (1.0 - weight) * np.float_power(22.0 * c, 2))
 
 
-def dcs_entangled_qed(theta, state: TwoPhotonPolState,
-                      wavelength: float, context: QedContext | None = None):
+def dcs_entangled_qed(theta, state: TwoPhotonPolState, wavelength: float,
+                      constants: Constants = CODATA_2022):
     """Loop-induced cross section in m^2 per steradian for the two-term family.
 
     The SI prefactor is alpha^4 lambda_C^8 / (2 * 45^2 * (2 pi)^2 lambda^6)
     with lambda_C the reduced electron Compton wavelength and lambda the
     photon wavelength in meters.
     """
-    if context is None:
-        context = QedContext()
-    if not wavelength > 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    alpha = context.fine_structure_constant
-    compton = context.compton_wavelength
+    _check_wavelength(wavelength)
+    alpha = constants.fine_structure
+    compton = constants.compton_wavelength
     prefactor = (alpha ** 4 / (2.0 * 45.0 ** 2 * (2.0 * math.pi) ** 2)
                  * compton ** 8 / wavelength ** 6)
     return prefactor * qed_bracket(theta, state)
 
 
-def si_convert(reduced, wavelength: float,
-               constants: PhysicalConstants | None = None):
+def si_convert(reduced, wavelength: float, constants: Constants = CODATA_2022):
     """Reduced gravitational value times l_P^4 / lambda^2, in m^2 per steradian."""
-    if constants is None:
-        constants = DEFAULT_CONSTANTS
-    if not wavelength > 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    _check_wavelength(wavelength)
     lp = constants.planck_length
     return _float_or_array(np.asarray(reduced, dtype=np.float64) * lp ** 4 / wavelength ** 2)

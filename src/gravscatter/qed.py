@@ -11,39 +11,11 @@ two cross elements well defined everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .constants import CODATA_2022
 
 __all__ = [
-    "QedContext",
     "qed_element_1212",
     "qed_element_1221",
 ]
-
-@dataclass(frozen=True)
-class QedContext:
-    """Electron-scale inputs for the loop-induced cross section.
-
-    Defaults are the CODATA 2022 values; override either field to study
-    parameter sensitivity. ``compton_wavelength`` is the reduced Compton wavelength
-    hbar c / (m c^2), about 3.86e-13 m for the physical electron.
-    """
-
-    electron_mass_energy: float = CODATA_2022.electron_mass * CODATA_2022.c ** 2
-    fine_structure_constant: float = CODATA_2022.fine_structure
-
-    def __post_init__(self):
-        if not self.electron_mass_energy > 0.0:
-            raise ValueError(
-                f"electron mass energy must be positive, got {self.electron_mass_energy}")
-        if not self.fine_structure_constant > 0.0:
-            raise ValueError(
-                f"fine structure constant must be positive, got {self.fine_structure_constant}")
-
-    @property
-    def compton_wavelength(self) -> float:
-        return CODATA_2022.hbar * CODATA_2022.c / self.electron_mass_energy
 
 
 def qed_element_1212(theta: float) -> complex:

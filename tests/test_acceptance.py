@@ -12,7 +12,7 @@ import numpy as np
 
 from gravscatter.amplitudes import channel_amplitudes, closed_form_grid, diagram_sum_grid
 from gravscatter.cli import main as cli_main
-from gravscatter.coincidence import CoincidenceQuery, coincidence_factor
+from gravscatter.coincidence import coincidence_factor
 from gravscatter.cross_sections import (
     TwoPhotonPolState,
     dcs_averaged,
@@ -22,7 +22,8 @@ from gravscatter.cross_sections import (
     si_convert,
 )
 from gravscatter.kinematics import com_arrays
-from gravscatter.qed import QedContext, qed_element_1212, qed_element_1221
+from gravscatter.constants import CODATA_2022
+from gravscatter.qed import qed_element_1212, qed_element_1221
 
 ALL_PATTERNS = tuple(itertools.product((1, 2), repeat=4))
 GRID = np.linspace(0.05, math.pi - 0.05, 100)
@@ -108,11 +109,11 @@ def test_criterion_5_si_magnitudes():
 
 
 def test_criterion_6_qed_closed_form_matches_element_assembly():
-    context = QedContext()
+    constants = CODATA_2022
     wavelength = 500e-9
-    prefactor = (context.fine_structure_constant ** 4
+    prefactor = (constants.fine_structure ** 4
                  / (2.0 * 45.0 ** 2 * (2.0 * math.pi) ** 2)
-                 * context.compton_wavelength ** 8 / wavelength ** 6)
+                 * constants.compton_wavelength ** 8 / wavelength ** 6)
     floor = 1e-12 * prefactor * 2312.0
     worst = 0.0
     states = [TwoPhotonPolState.from_angles(phi, rho)
@@ -125,12 +126,12 @@ def test_criterion_6_qed_closed_form_matches_element_assembly():
             keep = state.coefficients[0, 1] * f + state.coefficients[1, 0] * g
             swap = state.coefficients[0, 1] * g + state.coefficients[1, 0] * f
             assembled = prefactor * 0.5 * (abs(keep) ** 2 + abs(swap) ** 2)
-            direct = dcs_entangled_qed(float(theta), state, wavelength, context)
+            direct = dcs_entangled_qed(float(theta), state, wavelength, constants)
             worst = max(worst, abs(direct - assembled) / max(direct, floor))
     plus_value = dcs_entangled_qed(math.pi / 2, TwoPhotonPolState.psi_plus(),
-                                   wavelength, context)
+                                   wavelength, constants)
     minus_value = dcs_entangled_qed(math.pi / 2, TwoPhotonPolState.psi_minus(),
-                                    wavelength, context)
+                                    wavelength, constants)
     suppressed = minus_value <= 1e-12 * plus_value
     ok = worst <= 1e-12 and suppressed
     _verdict(6, "loop closed form equals the two-element assembly at 1e-12",
@@ -209,10 +210,10 @@ def test_criterion_8_coincidence_factor():
     minus = TwoPhotonPolState.psi_minus()
     product = TwoPhotonPolState.from_angles(0.0, 0.0)
     anchors = (
-        abs(coincidence_factor(CoincidenceQuery(0.0, plus)) - 2.0),
-        abs(coincidence_factor(CoincidenceQuery(0.0, product)) - 1.0),
-        abs(coincidence_factor(CoincidenceQuery(0.0, minus))),
-        abs(coincidence_factor(CoincidenceQuery(math.pi / 2, plus)) - 1.0),
+        abs(coincidence_factor(0.0, plus) - 2.0),
+        abs(coincidence_factor(0.0, product) - 1.0),
+        abs(coincidence_factor(0.0, minus)),
+        abs(coincidence_factor(math.pi / 2, plus) - 1.0),
     )
     rng = np.random.default_rng(8)
     bounded = True
@@ -220,8 +221,7 @@ def test_criterion_8_coincidence_factor():
         state = TwoPhotonPolState.from_angles(
             float(rng.uniform(0.0, math.pi / 2)),
             float(rng.uniform(-math.pi / 2, 3 * math.pi / 2)))
-        value = coincidence_factor(
-            CoincidenceQuery(float(rng.uniform(-50.0, 50.0)), state))
+        value = coincidence_factor(float(rng.uniform(-50.0, 50.0)), state)
         if not -1e-12 <= value <= 2.0 + 1e-12:
             bounded = False
     ok = all(residue <= 1e-12 for residue in anchors) and bounded

@@ -282,6 +282,10 @@ class TestUnevaluableInputs:
          "--lambda must be finite"),
         (["qed-scan", "--lambda", "inf"], "--lambda must be finite"),
         (["qed-scan", "--lambda=-inf", "--format", "json"], "--lambda must be finite"),
+        (["verify", "--perturb-vertex", "inf"], "--perturb-vertex must be finite"),
+        (["verify", "--perturb-vertex=-inf", "--format", "json"],
+         "--perturb-vertex must be finite"),
+        (["verify", "--perturb-vertex", "nan"], "--perturb-vertex must be finite"),
     ])
     def test_usage_error(self, argv, words, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,17 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gravscatter.coincidence import (
-    CoincidenceQuery,
-    coincidence_factor,
-    separation_to_phase,
-)
+from gravscatter.coincidence import coincidence_factor, separation_to_phase
 from gravscatter.cross_sections import TwoPhotonPolState
 
 
 def _factor(phase, phi, rho):
-    return coincidence_factor(
-        CoincidenceQuery(phase, TwoPhotonPolState.from_angles(phi, rho)))
+    return coincidence_factor(phase, TwoPhotonPolState.from_angles(phi, rho))
 
 
 def test_symmetric_bell_state_doubles_at_zero_phase():
@@ -81,25 +76,22 @@ class TestSeparationToPhase:
         assert separation_to_phase(3.0, 2.0) == 3.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            separation_to_phase(1.0, 0.0)
+        for wavelength in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="wavelength"):
+                separation_to_phase(1.0, wavelength)
         with pytest.raises(ValueError):
             separation_to_phase(-1.0, 1.0)
         with pytest.raises(ValueError):
             separation_to_phase(math.inf, 1.0)
 
 
-class TestCoincidenceQuery:
+class TestCoincidenceFactorInputs:
     def test_rejects_general_state(self):
         general = TwoPhotonPolState(np.eye(2, dtype=complex) / math.sqrt(2.0))
-        with pytest.raises(ValueError):
-            CoincidenceQuery(0.0, general)
+        with pytest.raises(ValueError, match="two-term family"):
+            coincidence_factor(0.0, general)
 
     def test_rejects_non_finite_phase(self):
-        with pytest.raises(ValueError):
-            CoincidenceQuery(math.nan, TwoPhotonPolState.psi_plus())
-
-    def test_frozen(self):
-        query = CoincidenceQuery(0.5, TwoPhotonPolState.psi_plus())
-        with pytest.raises(AttributeError):
-            query.phase = 1.0
+        for phase in (math.nan, np.array([0.5, -math.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                coincidence_factor(phase, TwoPhotonPolState.psi_plus())

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from gravscatter.amplitudes import closed_form_element, closed_form_grid
 from gravscatter import cli
 from gravscatter.cli import _csv_pieces, _json_pieces, _render
-from gravscatter.coincidence import CoincidenceQuery, coincidence_factor
+from gravscatter.coincidence import coincidence_factor
 from gravscatter.cross_sections import (
     TwoPhotonPolState,
     dcs_averaged,
@@ -63,7 +63,7 @@ def _functions(wavelength=5e-7):
         yield (f"si_convert[{k}]",
                lambda t, s=state: si_convert(dcs_entangled_pqg(t, s), wavelength))
         yield (f"coincidence_factor[{k}]",
-               lambda t, s=state: coincidence_factor(CoincidenceQuery(t, s)))
+               lambda t, s=state: coincidence_factor(t, s))
 
 
 def _assert_elementwise_equal(function, angles):
@@ -96,7 +96,7 @@ def test_random_arrays_match_scalar_calls(angles, wavelength):
 def test_coincidence_phases_match_scalar_calls(phases):
     for state in STATES:
         _assert_elementwise_equal(
-            lambda delta, s=state: coincidence_factor(CoincidenceQuery(delta, s)), phases)
+            lambda delta, s=state: coincidence_factor(delta, s), phases)
 
 
 def test_qed_bracket_closed_interval():
@@ -117,7 +117,7 @@ def test_closed_form_grid_equals_elements(angles):
 
 def test_array_phase_must_be_finite():
     with pytest.raises(ValueError, match="finite"):
-        CoincidenceQuery(np.array([0.0, math.inf]), TwoPhotonPolState.psi_plus())
+        coincidence_factor(np.array([0.0, math.inf]), TwoPhotonPolState.psi_plus())
 
 
 # ---------------------------------------------------------------------------

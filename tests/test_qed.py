@@ -1,14 +1,14 @@
-"""Electron-loop amplitude elements and their context object."""
+"""Electron-loop amplitude elements and the record of physical constants."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gravscatter.constants import CODATA_2022, Codata
-from gravscatter.cross_sections import DEFAULT_CONSTANTS
-from gravscatter.qed import QedContext, qed_element_1212, qed_element_1221
+from gravscatter.constants import CODATA_2022, Constants
+from gravscatter.qed import qed_element_1212, qed_element_1221
 
 
 def test_forward_value():
@@ -42,50 +42,42 @@ def test_never_vanishes():
     assert min(values) >= 12.0 - 1e-12
 
 
-class TestQedContext:
+class TestConstants:
     def test_default_constants(self):
-        ctx = QedContext()
-        assert_allclose(ctx.fine_structure_constant, 7.2973525693e-3, rtol=1e-9)
-        assert_allclose(ctx.electron_mass_energy, 8.18710565e-14, rtol=1e-7)
-        assert_allclose(ctx.compton_wavelength, 3.8615926796e-13, rtol=1e-8)
+        record = CODATA_2022
+        assert_allclose(record.fine_structure, 7.2973525693e-3, rtol=1e-9)
+        assert_allclose(record.electron_mass * record.c ** 2, 8.18710565e-14, rtol=1e-7)
+        assert_allclose(record.compton_wavelength, 3.8615926796e-13, rtol=1e-8)
 
     def test_compton_scales_inversely_with_mass(self):
-        ctx = QedContext()
-        heavy = QedContext(electron_mass_energy=2.0 * ctx.electron_mass_energy)
-        assert_allclose(heavy.compton_wavelength, 0.5 * ctx.compton_wavelength,
+        heavy = dataclasses.replace(CODATA_2022,
+                                    electron_mass=2.0 * CODATA_2022.electron_mass)
+        assert_allclose(heavy.compton_wavelength, 0.5 * CODATA_2022.compton_wavelength,
                         rtol=1e-14)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"electron_mass_energy": 0.0},
-        {"electron_mass_energy": -1.0},
-        {"fine_structure_constant": 0.0},
-        {"fine_structure_constant": -0.007},
-    ])
-    def test_rejects_non_positive_inputs(self, kwargs):
-        with pytest.raises(ValueError):
-            QedContext(**kwargs)
+    @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(Constants)])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_non_positive_and_non_finite_fields(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(CODATA_2022, **{name: value})
 
     def test_frozen(self):
-        ctx = QedContext()
         with pytest.raises(AttributeError):
-            ctx.fine_structure_constant = 0.008
+            CODATA_2022.fine_structure = 0.008
 
-
-class TestConstantsRecord:
     def test_matches_scipy_codata_2022(self):
         # scipy.constants carries CODATA 2022 from scipy 1.15 on.
         pytest.importorskip("scipy", minversion="1.15")
         from scipy import constants
-        assert CODATA_2022 == Codata(
+        assert CODATA_2022 == Constants(
             newton_constant=float(constants.G), hbar=float(constants.hbar),
             c=float(constants.c), electron_mass=float(constants.m_e),
             fine_structure=float(constants.fine_structure))
 
-    def test_both_contexts_read_the_record(self):
+    def test_derived_lengths_follow_their_formulas(self):
+        # The operation order is part of the contract: SI outputs stay bit-identical.
         record = CODATA_2022
-        assert (DEFAULT_CONSTANTS.newton_constant, DEFAULT_CONSTANTS.hbar,
-                DEFAULT_CONSTANTS.c) == (record.newton_constant, record.hbar, record.c)
-        ctx = QedContext()
-        assert ctx.fine_structure_constant == record.fine_structure
-        assert ctx.electron_mass_energy == record.electron_mass * record.c ** 2
-        assert ctx.compton_wavelength == record.hbar * record.c / ctx.electron_mass_energy
+        assert record.planck_length == math.sqrt(
+            record.newton_constant * record.hbar / record.c ** 3)
+        assert record.compton_wavelength == (
+            record.hbar * record.c / (record.electron_mass * record.c ** 2))
