@@ -10,8 +10,9 @@ reported on one line of stderr. A stdout closed by its reader (``| head``)
 ends the command quietly with 141, the status of a program stopped by
 SIGPIPE.
 
-Each scan computes its table as named numpy columns, one array per column,
-and hands them to one writer for CSV or JSON. The writer cuts a table into
+Each subcommand handler returns its result, and main alone writes it in the
+chosen format. A scan's table is named numpy columns, one array per column,
+printed as CSV or JSON by one writer. The writer cuts a table into
 formatting jobs of up to _CHUNK_ROWS rows or array values; a large table's
 jobs run in forked workers, one per usable CPU, and the bytes written do not
 depend on how many there are.
@@ -193,19 +194,6 @@ def _emit(pieces, path: str | None) -> None:
         out.flush()
 
 
-def _emit_json(args, payload: dict) -> None:
-    _emit(itertools.chain(_json_pieces(payload), ["\n"]), args.output)
-
-
-def _emit_table(args, columns: dict[str, np.ndarray], **fields) -> int:
-    """Write ``columns`` as CSV, or the command name and ``fields`` as JSON."""
-    if args.format == "csv":
-        _emit(_csv_pieces(columns), args.output)
-    else:
-        _emit_json(args, {"command": args.command, **fields})
-    return 0
-
-
 def _theta_grid(args, parser) -> np.ndarray:
     try:
         check_theta(np.array([args.theta_min, args.theta_max]))
@@ -233,22 +221,20 @@ def _check_wavelength(args, parser) -> None:
 
 @dataclass
 class VerifyReport:
-    """Outcome of replaying the diagram evaluation against the closed forms."""
+    """Outcome of replaying the diagram evaluation against the closed forms.
 
+    The fields, in order, are the verify command's JSON after "command".
+    """
+
+    passed: bool
+    samples: int
     theta_min: float
     theta_max: float
-    samples: int
     tolerance: float
     gauge_tolerance: float
     pattern_deviations: dict[str, float]
-    zero_patterns: tuple[str, ...]
+    identically_zero: tuple[str, ...]
     gauge_deviation: float
-
-    @property
-    def passed(self) -> bool:
-        if not all(dev <= self.tolerance for dev in self.pattern_deviations.values()):
-            return False
-        return self.gauge_deviation <= self.gauge_tolerance
 
 
 def build_verify_report(theta_min: float = VERIFY_THETA_MIN,
@@ -281,8 +267,8 @@ def build_verify_report(theta_min: float = VERIFY_THETA_MIN,
     error /= np.where(reference > 0.0, reference, scale)
     worst = error.max(axis=0, initial=0.0)
     deviations = {name: float(dev) for name, dev in zip(_PATTERN_NAMES, worst)}
-    zero_patterns = tuple(name for pattern, name in zip(_PATTERNS, _PATTERN_NAMES)
-                          if sum(pattern) % 2 == 1)
+    identically_zero = tuple(name for pattern, name in zip(_PATTERNS, _PATTERN_NAMES)
+                             if sum(pattern) % 2 == 1)
 
     # pols[angle, pattern, 0] holds the physical polarizations; entry j > 0
     # shifts photon j's by xi * p_j.
@@ -299,15 +285,11 @@ def build_verify_report(theta_min: float = VERIFY_THETA_MIN,
     base = sums[:, :, :1]
     gauge_deviation = float(np.max(np.abs(sums[:, :, 1:] - base) / np.abs(base)))
     return VerifyReport(
-        theta_min=float(theta_min),
-        theta_max=float(theta_max),
-        samples=int(samples),
-        tolerance=float(tolerance),
-        gauge_tolerance=float(gauge_tolerance),
-        pattern_deviations=deviations,
-        zero_patterns=zero_patterns,
-        gauge_deviation=gauge_deviation,
-    )
+        passed=bool(np.all(worst <= tolerance) and gauge_deviation <= gauge_tolerance),
+        samples=int(samples), theta_min=float(theta_min), theta_max=float(theta_max),
+        tolerance=float(tolerance), gauge_tolerance=float(gauge_tolerance),
+        pattern_deviations=deviations, identically_zero=identically_zero,
+        gauge_deviation=gauge_deviation)
 
 
 def _verify_text(report: VerifyReport) -> str:
@@ -319,7 +301,7 @@ def _verify_text(report: VerifyReport) -> str:
     for name in _PATTERN_NAMES:
         deviation = report.pattern_deviations[name]
         status = "PASS" if deviation <= report.tolerance else "FAIL"
-        tag = "  (identically zero)" if name in report.zero_patterns else ""
+        tag = "  (identically zero)" if name in report.identically_zero else ""
         lines.append(f"  m_{name}  max deviation {deviation:.2e}  {status}{tag}")
     gauge_status = "PASS" if report.gauge_deviation <= report.gauge_tolerance else "FAIL"
     lines.append(
@@ -329,16 +311,17 @@ def _verify_text(report: VerifyReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (fields, plain), the JSON object after
+# "command" and either the CSV columns or the text that verify and si print
 
-def _run_amp_table(args, parser) -> int:
+def _run_amp_table(args, parser):
     grid = _theta_grid(args, parser)
     elements = dict(zip(_PATTERN_NAMES, closed_form_grid(grid).reshape(len(grid), -1).T))
     columns = {"theta": grid, **{f"m_{name}": column for name, column in elements.items()}}
-    return _emit_table(args, columns, theta=grid, elements=elements)
+    return {"theta": grid, "elements": elements}, columns
 
 
-def _run_dcs_scan(args, parser) -> int:
+def _run_dcs_scan(args, parser):
     grid = _theta_grid(args, parser)
     _check_wavelength(args, parser)
     columns = {name: dcs_entangled_pqg(grid, state)
@@ -350,22 +333,20 @@ def _run_dcs_scan(args, parser) -> int:
         elif args.units == "figure3":
             columns[name] = column / _FIGURE_UNITS_DIVISOR
     columns = {"theta": grid, **columns}
-    return _emit_table(args, columns, units=args.units, wavelength_m=args.wavelength,
-                       **columns)
+    return {"units": args.units, "wavelength_m": args.wavelength, **columns}, columns
 
 
-def _run_qed_scan(args, parser) -> int:
+def _run_qed_scan(args, parser):
     grid = _theta_grid(args, parser)
     _check_wavelength(args, parser)
     columns = {"theta": grid}
     for name, state in _CANONICAL_STATES.items():
         columns[name] = (dcs_entangled_qed(grid, state, args.wavelength)
                          if args.units == "si" else qed_bracket(grid, state))
-    return _emit_table(args, columns, units=args.units, wavelength_m=args.wavelength,
-                       **columns)
+    return {"units": args.units, "wavelength_m": args.wavelength, **columns}, columns
 
 
-def _run_coincidence_scan(args, parser) -> int:
+def _run_coincidence_scan(args, parser):
     if not -math.inf < args.delta_min < args.delta_max < math.inf:
         parser.error("need finite --delta-min < --delta-max")
     if args.samples < 2:
@@ -376,10 +357,10 @@ def _run_coincidence_scan(args, parser) -> int:
         parser.error(str(error))
     grid = np.linspace(args.delta_min, args.delta_max, args.samples)
     columns = {"delta": grid, "factor": coincidence_factor(grid, state)}
-    return _emit_table(args, columns, phi=args.phi, rho=args.rho, **columns)
+    return {"phi": args.phi, "rho": args.rho, **columns}, columns
 
 
-def _run_verify(args, parser) -> int:
+def _run_verify(args, parser):
     _theta_grid(args, parser)
     for option, tolerance in (("--tolerance", args.tolerance),
                               ("--gauge-tolerance", args.gauge_tolerance)):
@@ -390,33 +371,13 @@ def _run_verify(args, parser) -> int:
     if args.seed < 0:
         parser.error("--seed must be non-negative")
     report = build_verify_report(
-        theta_min=args.theta_min,
-        theta_max=args.theta_max,
-        samples=args.samples,
-        tolerance=args.tolerance,
-        gauge_tolerance=args.gauge_tolerance,
-        vertex_perturbation=args.perturb_vertex,
-        seed=args.seed,
-    )
-    if args.format == "json":
-        _emit_json(args, {
-            "command": "verify",
-            "passed": report.passed,
-            "samples": report.samples,
-            "theta_min": report.theta_min,
-            "theta_max": report.theta_max,
-            "tolerance": report.tolerance,
-            "gauge_tolerance": report.gauge_tolerance,
-            "pattern_deviations": report.pattern_deviations,
-            "identically_zero": list(report.zero_patterns),
-            "gauge_deviation": report.gauge_deviation,
-        })
-    else:
-        _emit([_verify_text(report)], args.output)
-    return 0 if report.passed else 1
+        theta_min=args.theta_min, theta_max=args.theta_max, samples=args.samples,
+        tolerance=args.tolerance, gauge_tolerance=args.gauge_tolerance,
+        vertex_perturbation=args.perturb_vertex, seed=args.seed)
+    return vars(report), _verify_text(report)
 
 
-def _run_si(args, parser) -> int:
+def _run_si(args, parser):
     _check_wavelength(args, parser)
     if args.theory == "pqg":
         # Peak of the right-angle Bell-state rate: reduced value 32 times the
@@ -426,22 +387,17 @@ def _run_si(args, parser) -> int:
     else:
         value = dcs_entangled_qed(0.0, TwoPhotonPolState.psi_plus(), args.wavelength)
         label = "loop prefactor times the maximal angle bracket"
+    if value == 0.0:
+        parser.error(f"the {args.theory} cross section at --lambda {args.wavelength:g} "
+                     "underflows to 0")
     exponent = math.floor(math.log10(value))
-    if args.format == "json":
-        _emit_json(args, {
-            "command": "si",
-            "theory": args.theory,
-            "wavelength_m": args.wavelength,
-            "dcs_scale_m2_sr": value,
-            "exponent": exponent,
-        })
-    else:
-        _emit([f"theory: {args.theory}\n"
-               f"wavelength_m: {args.wavelength:.9g}\n"
-               f"scale: {label}\n"
-               f"dcs_scale_m2_sr: {value:.6e}\n"
-               f"exponent: {exponent}\n"], args.output)
-    return 0
+    return ({"theory": args.theory, "wavelength_m": args.wavelength,
+             "dcs_scale_m2_sr": value, "exponent": exponent},
+            f"theory: {args.theory}\n"
+            f"wavelength_m: {args.wavelength:.9g}\n"
+            f"scale: {label}\n"
+            f"dcs_scale_m2_sr: {value:.6e}\n"
+            f"exponent: {exponent}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: write its result in the chosen format, return the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -548,12 +505,19 @@ def main(argv=None) -> int:
         # or an invalid operation means an input sits on a pole or beyond
         # the floating-point range, as does a scalar ArithmeticError.
         with np.errstate(all="ignore", divide="raise", invalid="raise"):
-            return args.handler(args, parser)
+            fields, plain = args.handler(args, parser)
+        if args.format == "json":
+            pieces = itertools.chain(_json_pieces({"command": args.command, **fields}), ["\n"])
+        elif args.format == "csv":
+            pieces = _csv_pieces(plain)
+        else:
+            pieces = [plain]
+        _emit(pieces, args.output)
     except PoleError as error:
         parser.error(str(error))
     except ArithmeticError as error:
-        parser.error(f"cannot evaluate ({error}): keep theta away from the poles "
-                     "at 0 and pi and --lambda within floating-point range")
+        parser.error(f"cannot evaluate ({error}): an input lies on a pole or outside "
+                     "floating-point range")
     except OSError as error:
         # Only the output raises it: an unwritable --output or stdout, or a
         # formatting worker that failed. What the process's stdout still
@@ -565,6 +529,7 @@ def main(argv=None) -> int:
         if isinstance(error, BrokenPipeError):
             return 128 + 13  # quietly, with what a shell reports for SIGPIPE
         parser.exit(2, f"{parser.prog}: error: cannot write output: {error}\n")
+    return 0 if fields.get("passed", True) else 1
 
 
 if __name__ == "__main__":

@@ -31,10 +31,11 @@ def coincidence_factor(phase, state: TwoPhotonPolState):
 
     ``phase`` is a float or an array of them, and an array gives an array.
     Every phase must be finite, and the state must belong to the (phi, rho)
-    two-term family; otherwise ValueError.
+    two-term family; otherwise ValueError, naming the first non-finite phase.
     """
-    if not np.all(np.isfinite(phase)):
-        raise ValueError(f"phase must be finite, got {phase}")
+    outside = np.asarray(phase)[~np.isfinite(phase)]
+    if outside.size:
+        raise ValueError(f"phase must be finite, got {float(outside[0])}")
     _interference_weight(state)  # raises for a general-coefficient state
     return _float_or_array(1.0 + math.sin(2.0 * state.phi) * np.cos(phase + state.rho))
 

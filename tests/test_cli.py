@@ -204,7 +204,7 @@ class TestVerify:
     def test_report_object(self):
         report = build_verify_report(samples=5)
         assert report.passed
-        assert set(report.zero_patterns) == {
+        assert set(report.identically_zero) == {
             "1112", "1121", "1211", "2111", "1222", "2122", "2212", "2221"}
         for name, deviation in report.pattern_deviations.items():
             assert deviation <= 1e-9, name
@@ -286,15 +286,33 @@ class TestUnevaluableInputs:
         (["verify", "--perturb-vertex=-inf", "--format", "json"],
          "--perturb-vertex must be finite"),
         (["verify", "--perturb-vertex", "nan"], "--perturb-vertex must be finite"),
+        (["si", "--lambda", "1e100"], "underflows to 0"),
+        (["si", "--theory", "qed", "--lambda", "1e40"], "underflows to 0"),
+        (["si", "--lambda", "1e100", "--format", "json"], "underflows to 0"),
     ])
     def test_usage_error(self, argv, words, capsys):
+        assert words in self._error_line(argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["coincidence-scan", "--delta-min=-1e308", "--delta-max=1e308"],
+        ["verify", "--perturb-vertex", "1e300"],
+    ])
+    def test_unevaluable_names_no_foreign_option(self, argv, capsys):
+        # Neither command has --lambda, so the catch-all hint must not name it.
+        last = self._error_line(argv, capsys)
+        assert "cannot evaluate (" in last and "--lambda" not in last
+
+    @staticmethod
+    def _error_line(argv, capsys) -> str:
+        """The one stderr line of a usage error, after checking exit 2 and no stdout."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         last = captured.err.strip().splitlines()[-1]
-        assert last.startswith("gravscatter: error: ") and words in last
+        assert last.startswith("gravscatter: error: ")
+        return last
 
     def test_overflow_rows_still_print(self, capsys):
         assert main(["dcs-scan", "--theta-min", "1e-80", "--samples", "3"]) == 0

@@ -95,3 +95,8 @@ class TestCoincidenceFactorInputs:
         for phase in (math.nan, np.array([0.5, -math.inf])):
             with pytest.raises(ValueError, match="finite"):
                 coincidence_factor(phase, TwoPhotonPolState.psi_plus())
+        # A long array's message names the bad value, not numpy's elided summary.
+        long_phase = np.zeros(10001)
+        long_phase[5000] = math.nan
+        with pytest.raises(ValueError, match="finite, got nan"):
+            coincidence_factor(long_phase, TwoPhotonPolState.psi_plus())
