@@ -14,7 +14,7 @@ import numpy as np
 
 from gravscatter import (
     channel_amplitudes,
-    closed_form_element,
+    closed_form_grid,
     com_arrays,
     diagram_sum_grid,
 )
@@ -36,7 +36,9 @@ channels = channel_amplitudes(momenta, pols)
 for name, value in zip("tus", channels):
     print(f"  {name}-exchange: {value:+.6f}")
 print(f"  sum:        {channels.sum():+.6f}")
-print(f"  closed form {closed_form_element(pattern, THETA):+.6f}")
+# One angle is a one-element grid; an element is indexed by its labels minus one.
+references = closed_form_grid([THETA])[0]
+print(f"  closed form {references[tuple(label - 1 for label in pattern)]:+.6f}")
 
 print()
 print("all 16 polarization patterns (diagram sum vs closed form)")
@@ -44,7 +46,7 @@ values = diagram_sum_grid([THETA])[0]
 for labels in itertools.product((1, 2), repeat=4):
     name = "".join(str(p) for p in labels)
     computed = values[tuple(label - 1 for label in labels)]
-    reference = closed_form_element(labels, THETA)
+    reference = references[tuple(label - 1 for label in labels)]
     print(f"  m_{name}: {computed:+12.6f}   reference {reference:+12.6f}")
 
 print()

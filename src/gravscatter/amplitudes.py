@@ -39,7 +39,6 @@ __all__ = [
     "graviton_coupling",
     "channel_amplitudes",
     "diagram_sum_grid",
-    "closed_form_element",
     "closed_form_grid",
 ]
 
@@ -61,13 +60,6 @@ _ETA_PAIR = np.outer(_ETA, _ETA)
 
 class PoleError(ValueError):
     """Squared exchange momentum fell inside the massless-propagator pole window."""
-
-
-def _check_pols(pols) -> tuple[int, int, int, int]:
-    pols = tuple(pols)
-    if len(pols) != 4 or any(label not in (1, 2) for label in pols):
-        raise ValueError(f"expected four polarization labels from {{1, 2}}, got {pols!r}")
-    return pols
 
 
 def contracted_vertex(p_out, p_in, eps_out, eps_in, *,
@@ -201,12 +193,11 @@ def diagram_sum_grid(theta, *, vertex_perturbation: float = 0.0) -> np.ndarray:
     return values
 
 
-# Numerators of the closed-form elements, shared by the scalar and the array
-# paths (c = cos(theta) is a float or an array); swapping labels 1 <-> 2
-# leaves each element unchanged. Powers of a per-angle value use
-# np.float_power, never `**`: on an array numpy's `**` may run a SIMD pow
-# that differs from the scalar pow in the last bit, and np.float_power keeps
-# every array element equal to the float its angle gives alone.
+# Numerators of the closed-form elements (c = cos(theta), an array); swapping
+# labels 1 <-> 2 leaves each element unchanged. Powers of a per-angle value
+# use np.float_power, never `**`: numpy's `**` may run a SIMD pow that
+# differs from the scalar pow in the last bit, while np.float_power gives
+# each angle the scalar pow's value, the one the pinned output bytes hold.
 _NUMERATORS = {
     (1, 1, 1, 1): lambda c: -9.0 - 6.0 * c * c - np.float_power(c, 4),
     (1, 1, 2, 2): lambda c: 7.0 - 6.0 * c * c - np.float_power(c, 4),
@@ -217,11 +208,12 @@ _NUMERATORS.update({tuple(3 - label for label in pattern): numerator
                     for pattern, numerator in list(_NUMERATORS.items())})
 
 
-def closed_form_element(pols, theta: float) -> float:
-    """Reference value of one reduced amplitude element.
+def closed_form_grid(theta) -> np.ndarray:
+    """All 16 reference elements over a 1-D array of angles.
 
-    With c = cos(theta), the eight non-vanishing patterns share a 1/sin^2
-    factor multiplying
+    Real, shape (N, 2, 2, 2, 2) in the module's layout; one angle is
+    ``closed_form_grid([theta])[0]``. With c = cos(theta), the eight
+    non-vanishing patterns share a 1/sin^2 factor multiplying
 
         1111, 2222:  -9 - 6 c^2 - c^4
         1122, 2211:   7 - 6 c^2 - c^4
@@ -230,18 +222,6 @@ def closed_form_element(pols, theta: float) -> float:
 
     Any pattern with an odd number of in-plane labels vanishes identically,
     since the one-sided reflection of the scattering plane flips its sign.
-    """
-    numerator = _NUMERATORS.get(_check_pols(pols))
-    theta = check_theta(theta)
-    if numerator is None:
-        return 0.0
-    return float(numerator(np.cos(theta)) / np.float_power(np.sin(theta), 2))
-
-
-def closed_form_grid(theta) -> np.ndarray:
-    """All 16 closed-form elements over a 1-D array of angles.
-
-    Real, shape (N, 2, 2, 2, 2) in the module's layout.
     """
     theta = check_theta(np.asarray(theta, dtype=np.float64).reshape(-1))
     c = np.cos(theta)

@@ -216,6 +216,22 @@ def _check_wavelength(args, parser) -> None:
         parser.error("--lambda must be finite and positive")
 
 
+def _si_scale(args, parser, theory: str) -> float:
+    """The SI value `si` prints for ``theory`` at a checked --lambda.
+
+    Where it underflows to 0 the command stops with a usage error: a scan's
+    SI values would print as 0 too, away from the poles at least.
+    """
+    # pqg: the product state's right-angle value, 32 (the psi+ Bell state
+    # gives 64), times the Planck-length conversion. qed: the loop cross
+    # section at its maximum, psi+ at theta = 0.
+    value = (si_convert(32.0, args.wavelength) if theory == "pqg"
+             else dcs_entangled_qed(0.0, TwoPhotonPolState.psi_plus(), args.wavelength))
+    if value == 0.0:
+        parser.error(f"the {theory} cross section at --lambda {args.wavelength:g} underflows to 0")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # verification gate
 
@@ -324,6 +340,8 @@ def _run_amp_table(args, parser):
 def _run_dcs_scan(args, parser):
     grid = _theta_grid(args, parser)
     _check_wavelength(args, parser)
+    if args.units == "si":
+        _si_scale(args, parser, "pqg")
     columns = {name: dcs_entangled_pqg(grid, state)
                for name, state in _CANONICAL_STATES.items()}
     columns["dcs_averaged"] = dcs_averaged(grid)
@@ -339,6 +357,8 @@ def _run_dcs_scan(args, parser):
 def _run_qed_scan(args, parser):
     grid = _theta_grid(args, parser)
     _check_wavelength(args, parser)
+    if args.units == "si":
+        _si_scale(args, parser, "qed")
     columns = {"theta": grid}
     for name, state in _CANONICAL_STATES.items():
         columns[name] = (dcs_entangled_qed(grid, state, args.wavelength)
@@ -379,17 +399,9 @@ def _run_verify(args, parser):
 
 def _run_si(args, parser):
     _check_wavelength(args, parser)
-    if args.theory == "pqg":
-        # Peak of the right-angle Bell-state rate: reduced value 32 times the
-        # Planck-length conversion.
-        value = si_convert(32.0, args.wavelength)
-        label = "32 l_P^4 / lambda^2"
-    else:
-        value = dcs_entangled_qed(0.0, TwoPhotonPolState.psi_plus(), args.wavelength)
-        label = "loop prefactor times the maximal angle bracket"
-    if value == 0.0:
-        parser.error(f"the {args.theory} cross section at --lambda {args.wavelength:g} "
-                     "underflows to 0")
+    value = _si_scale(args, parser, args.theory)
+    label = ("32 l_P^4 / lambda^2" if args.theory == "pqg"
+             else "loop prefactor times the maximal angle bracket")
     exponent = math.floor(math.log10(value))
     return ({"theory": args.theory, "wavelength_m": args.wavelength,
              "dcs_scale_m2_sr": value, "exponent": exponent},

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .amplitudes import closed_form_element
+from .amplitudes import closed_form_grid
 from .constants import CODATA_2022, Constants
 from .kinematics import check_theta
 
@@ -198,7 +198,7 @@ def relative_phase(theta: float, element=None) -> float:
     """
     theta = check_theta(theta)
     if element is None:
-        element = lambda angle: complex(closed_form_element((1, 2, 1, 2), angle))
+        element = lambda angle: complex(closed_form_grid([angle])[0, 0, 1, 0, 1])
     forward = complex(element(theta))
     backward = complex(element(math.pi - theta))
     if min(abs(forward), abs(backward)) < 1e-12:

@@ -25,15 +25,11 @@ def check_theta(theta):
     Both ends are exchange poles. Otherwise, NaN included, raise ValueError
     naming the first angle outside.
     """
-    if isinstance(theta, np.ndarray) and theta.ndim:
-        outside = theta[~((theta > 0.0) & (theta < math.pi))]
-        if outside.size:
-            raise ValueError(
-                f"theta must lie strictly between 0 and pi, got {float(outside[0])}")
-        return theta
-    theta = float(theta)
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie strictly between 0 and pi, got {theta}")
+    theta = theta if isinstance(theta, np.ndarray) and theta.ndim else float(theta)
+    angles = np.ravel(theta)
+    outside = angles[~((angles > 0.0) & (angles < math.pi))]
+    if outside.size:
+        raise ValueError(f"theta must lie strictly between 0 and pi, got {float(outside[0])}")
     return theta
 
 

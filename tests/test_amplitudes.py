@@ -11,7 +11,6 @@ from gravscatter.amplitudes import (
     CHUNK_ANGLES,
     PoleError,
     channel_amplitudes,
-    closed_form_element,
     closed_form_grid,
     contracted_vertex,
     diagram_sum_grid,
@@ -302,12 +301,6 @@ class TestDiagramSum:
             worst = max(worst, abs(perturbed[_index(pattern)] - want) / abs(want))
         assert worst > 1e-7
 
-    def test_pattern_validation(self):
-        with pytest.raises(ValueError):
-            closed_form_element((1, 2, 3, 1), 1.0)
-        with pytest.raises(ValueError):
-            closed_form_element((1, 2, 1), 1.0)
-
 
 class TestDiagramSumGrid:
     @pytest.mark.parametrize("samples", [1, CHUNK_ANGLES - 1, CHUNK_ANGLES,
@@ -336,58 +329,61 @@ class TestDiagramSumGrid:
 
 
 class TestClosedForm:
+    @staticmethod
+    def _element(pattern, theta):
+        """One reference element: the one-element grid at theta, indexed by the pattern."""
+        return closed_form_grid([theta])[0][_index(pattern)]
+
     def test_right_angle_table(self):
         theta = math.pi / 2
-        assert_allclose(closed_form_element((1, 1, 1, 1), theta), -9.0, rtol=1e-14)
-        assert_allclose(closed_form_element((2, 2, 2, 2), theta), -9.0, rtol=1e-14)
-        assert_allclose(closed_form_element((1, 1, 2, 2), theta), 7.0, rtol=1e-14)
-        assert_allclose(closed_form_element((1, 2, 1, 2), theta), -8.0, rtol=1e-13)
-        assert_allclose(closed_form_element((1, 2, 2, 1), theta), -8.0, rtol=1e-13)
+        assert_allclose(self._element((1, 1, 1, 1), theta), -9.0, rtol=1e-14)
+        assert_allclose(self._element((2, 2, 2, 2), theta), -9.0, rtol=1e-14)
+        assert_allclose(self._element((1, 1, 2, 2), theta), 7.0, rtol=1e-14)
+        assert_allclose(self._element((1, 2, 1, 2), theta), -8.0, rtol=1e-13)
+        assert_allclose(self._element((1, 2, 2, 1), theta), -8.0, rtol=1e-13)
 
     def test_rational_anchors(self):
-        assert_allclose(closed_form_element((1, 1, 1, 1), math.pi / 3),
+        assert_allclose(self._element((1, 1, 1, 1), math.pi / 3),
                         -169.0 / 12.0, rtol=1e-14)
-        assert_allclose(closed_form_element((1, 2, 1, 2), math.pi / 3),
+        assert_allclose(self._element((1, 2, 1, 2), math.pi / 3),
                         -14.0, rtol=1e-14)
-        assert_allclose(closed_form_element((1, 2, 1, 2), 2.0 * math.pi / 3),
+        assert_allclose(self._element((1, 2, 1, 2), 2.0 * math.pi / 3),
                         -22.0 / 3.0, rtol=1e-13)
 
     def test_label_swap_pairs_are_identical(self):
         for theta in (0.7, 1.9):
-            assert closed_form_element((1, 1, 1, 1), theta) == closed_form_element((2, 2, 2, 2), theta)
-            assert closed_form_element((1, 1, 2, 2), theta) == closed_form_element((2, 2, 1, 1), theta)
-            assert closed_form_element((1, 2, 1, 2), theta) == closed_form_element((2, 1, 2, 1), theta)
-            assert closed_form_element((1, 2, 2, 1), theta) == closed_form_element((2, 1, 1, 2), theta)
+            values = closed_form_grid([theta])[0]
+            assert values[0, 0, 0, 0] == values[1, 1, 1, 1]
+            assert values[0, 0, 1, 1] == values[1, 1, 0, 0]
+            assert values[0, 1, 0, 1] == values[1, 0, 1, 0]
+            assert values[0, 1, 1, 0] == values[1, 0, 0, 1]
 
     def test_parity_odd_patterns_are_exactly_zero(self):
+        values = closed_form_grid([1.234])[0]
         for pattern in ZERO_PATTERNS:
-            assert closed_form_element(pattern, 1.234) == 0.0
+            assert values[_index(pattern)] == 0.0
 
     def test_outgoing_exchange_symmetry(self):
         # swapping the outgoing photons is the same as looking at pi - theta
         for theta in np.linspace(0.2, math.pi - 0.2, 17):
             for xi1, xi2, xi3, xi4 in NONZERO_PATTERNS:
-                direct = closed_form_element((xi1, xi2, xi3, xi4), theta)
-                swapped = closed_form_element((xi1, xi2, xi4, xi3), math.pi - theta)
+                direct = self._element((xi1, xi2, xi3, xi4), theta)
+                swapped = self._element((xi1, xi2, xi4, xi3), math.pi - theta)
                 assert_allclose(swapped, direct, rtol=1e-12, atol=1e-12)
 
     def test_domain_errors(self):
         for theta in (0.0, math.pi, -1.0, math.nan):
             with pytest.raises(ValueError):
-                closed_form_element((1, 1, 1, 1), theta)
+                closed_form_grid([theta])
 
-    def test_grid_matches_scalar_elements(self):
-        # Both paths take their powers with np.float_power, so they agree
-        # exactly; numpy's `**` would miss on dozens of these angles.
+    def test_grid_rows_match_one_element_grids(self):
+        # Powers go through np.float_power, so a row of a long grid equals
+        # the one-element grid of its angle exactly.
         grid = np.linspace(1e-7, math.pi - 1e-7, 1667)
         for theta, row in zip(grid, closed_form_grid(grid)):
-            for pattern in ALL_PATTERNS:
-                got = row[_index(pattern)]
-                assert got == closed_form_element(pattern, float(theta))
+            assert np.array_equal(row, closed_form_grid([float(theta)])[0])
 
-    def test_one_element_grid_is_real_and_consistent(self):
-        theta = 0.8
-        values = closed_form_grid([theta])[0]
+    def test_one_element_grid_is_real_and_has_the_module_layout(self):
+        values = closed_form_grid([0.8])
         assert values.dtype == np.float64
-        for pattern in ALL_PATTERNS:
-            assert values[_index(pattern)] == closed_form_element(pattern, theta)
+        assert values.shape == (1, 2, 2, 2, 2)

@@ -289,6 +289,10 @@ class TestUnevaluableInputs:
         (["si", "--lambda", "1e100"], "underflows to 0"),
         (["si", "--theory", "qed", "--lambda", "1e40"], "underflows to 0"),
         (["si", "--lambda", "1e100", "--format", "json"], "underflows to 0"),
+        (["dcs-scan", "--units", "si", "--lambda", "1e100", "--samples", "3"],
+         "pqg cross section at --lambda 1e+100 underflows to 0"),
+        (["qed-scan", "--lambda", "1e40", "--samples", "3"],
+         "qed cross section at --lambda 1e+40 underflows to 0"),
     ])
     def test_usage_error(self, argv, words, capsys):
         assert words in self._error_line(argv, capsys)

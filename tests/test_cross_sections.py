@@ -97,6 +97,15 @@ class TestTwoPhotonPolState:
         with pytest.raises(ValueError):
             TwoPhotonPolState.from_angles(phi, rho)
 
+    @pytest.mark.parametrize("state", [
+        TwoPhotonPolState.from_angles(0.3, 1.1),
+        _random_state(np.random.default_rng(7)),
+    ], ids=["from_angles", "general"])
+    def test_repr_rebuilds_the_state(self, state):
+        rebuilt = eval(repr(state), {"TwoPhotonPolState": TwoPhotonPolState})
+        assert np.array_equal(rebuilt.coefficients, state.coefficients)
+        assert (rebuilt.phi, rebuilt.rho) == (state.phi, state.rho)
+
     def test_coefficients_read_only(self):
         state = TwoPhotonPolState.psi_plus()
         with pytest.raises(ValueError):

@@ -103,7 +103,7 @@ GOLDEN = [
     ("verify --format json", 0,
      "3298c4ae9048fbed5dd37ad836dd907bcc841db5812acc5c3526405419d779a7"),
     # The one deliberate change: closed_form_grid now takes its powers with
-    # np.float_power, so it equals closed_form_element bit for bit, and the
+    # np.float_power, so each row equals the one-angle value bit for bit, and the
     # round-off deviation this grid reports for 1221 and 2112 moves from
     # 3.5992170565184363e-16 to 3.0829255977364377e-16 (the hash before was
     # 7e726853b90caaf2265f8897b7be3c3e4e663fca233b2d011997aca59be689d2).
