@@ -19,7 +19,7 @@ from gravscatter import (
 
 psi_plus = TwoPhotonPolState.psi_plus()
 psi_minus = TwoPhotonPolState.psi_minus()
-product = TwoPhotonPolState.from_angles(0.0, 0.0)
+product = TwoPhotonPolState(0.0, 0.0)
 
 print("reduced-unit differential cross sections (multiples of l_P^4 / lambda^2)")
 print()

@@ -20,7 +20,7 @@ from gravscatter import (
 
 psi_plus = TwoPhotonPolState.psi_plus()
 psi_minus = TwoPhotonPolState.psi_minus()
-product = TwoPhotonPolState.from_angles(0.0, 0.0)
+product = TwoPhotonPolState(0.0, 0.0)
 right = math.pi / 2
 
 print("right-angle differential cross sections in m^2/sr")

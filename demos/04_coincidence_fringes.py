@@ -20,7 +20,7 @@ from gravscatter import (
 
 states = (
     ("psi_plus", TwoPhotonPolState.psi_plus()),
-    ("product", TwoPhotonPolState.from_angles(0.0, 0.0)),
+    ("product", TwoPhotonPolState(0.0, 0.0)),
     ("psi_minus", TwoPhotonPolState.psi_minus()),
 )
 
@@ -49,7 +49,7 @@ print("suppresses them entirely")
 print()
 print("intermediate entanglement interpolates the contrast")
 for phi_frac, label in ((1 / 8, "phi = pi/8"), (1 / 4, "phi = pi/4")):
-    state = TwoPhotonPolState.from_angles(phi_frac * math.pi, 0.0)
+    state = TwoPhotonPolState(phi_frac * math.pi, 0.0)
     peak = coincidence_factor(0.0, state)
     trough = coincidence_factor(math.pi, state)
     print(f"  {label}: factor ranges {trough:.4f} .. {peak:.4f}")

@@ -58,7 +58,7 @@ _PATTERNS = tuple(itertools.product((1, 2), repeat=4))
 _PATTERN_NAMES = tuple("".join(str(label) for label in pattern) for pattern in _PATTERNS)
 _NONZERO_LABELS = np.array([p for p in _PATTERNS if sum(p) % 2 == 0]) - 1
 _GAUGE_ANGLES = 10
-_CANONICAL_STATES = {"dcs_product": TwoPhotonPolState.from_angles(0.0, 0.0),
+_CANONICAL_STATES = {"dcs_product": TwoPhotonPolState(0.0, 0.0),
                      "dcs_psi_plus": TwoPhotonPolState.psi_plus(),
                      "dcs_psi_minus": TwoPhotonPolState.psi_minus()}
 # Rows (CSV) or array values (JSON) formatted per job; bounds the text held
@@ -216,20 +216,14 @@ def _check_wavelength(args, parser) -> None:
         parser.error("--lambda must be finite and positive")
 
 
-def _si_scale(args, parser, theory: str) -> float:
-    """The SI value `si` prints for ``theory`` at a checked --lambda.
+def _check_underflow(args, parser, theory: str, values) -> None:
+    """Stop with a usage error where every SI value the command prints underflows to 0.
 
-    Where it underflows to 0 the command stops with a usage error: a scan's
-    SI values would print as 0 too, away from the poles at least.
+    ``values`` holds the SI columns of a scan, or the one value of ``si``; an
+    inf counts as printable.
     """
-    # pqg: the product state's right-angle value, 32 (the psi+ Bell state
-    # gives 64), times the Planck-length conversion. qed: the loop cross
-    # section at its maximum, psi+ at theta = 0.
-    value = (si_convert(32.0, args.wavelength) if theory == "pqg"
-             else dcs_entangled_qed(0.0, TwoPhotonPolState.psi_plus(), args.wavelength))
-    if value == 0.0:
+    if max(np.max(value) for value in values) == 0.0:
         parser.error(f"the {theory} cross section at --lambda {args.wavelength:g} underflows to 0")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +334,6 @@ def _run_amp_table(args, parser):
 def _run_dcs_scan(args, parser):
     grid = _theta_grid(args, parser)
     _check_wavelength(args, parser)
-    if args.units == "si":
-        _si_scale(args, parser, "pqg")
     columns = {name: dcs_entangled_pqg(grid, state)
                for name, state in _CANONICAL_STATES.items()}
     columns["dcs_averaged"] = dcs_averaged(grid)
@@ -350,6 +342,8 @@ def _run_dcs_scan(args, parser):
             columns[name] = si_convert(column, args.wavelength)
         elif args.units == "figure3":
             columns[name] = column / _FIGURE_UNITS_DIVISOR
+    if args.units == "si":
+        _check_underflow(args, parser, "pqg", columns.values())
     columns = {"theta": grid, **columns}
     return {"units": args.units, "wavelength_m": args.wavelength, **columns}, columns
 
@@ -357,12 +351,12 @@ def _run_dcs_scan(args, parser):
 def _run_qed_scan(args, parser):
     grid = _theta_grid(args, parser)
     _check_wavelength(args, parser)
+    columns = {name: (dcs_entangled_qed(grid, state, args.wavelength)
+                      if args.units == "si" else qed_bracket(grid, state))
+               for name, state in _CANONICAL_STATES.items()}
     if args.units == "si":
-        _si_scale(args, parser, "qed")
-    columns = {"theta": grid}
-    for name, state in _CANONICAL_STATES.items():
-        columns[name] = (dcs_entangled_qed(grid, state, args.wavelength)
-                         if args.units == "si" else qed_bracket(grid, state))
+        _check_underflow(args, parser, "qed", columns.values())
+    columns = {"theta": grid, **columns}
     return {"units": args.units, "wavelength_m": args.wavelength, **columns}, columns
 
 
@@ -372,7 +366,7 @@ def _run_coincidence_scan(args, parser):
     if args.samples < 2:
         parser.error("--samples must be at least 2")
     try:
-        state = TwoPhotonPolState.from_angles(args.phi, args.rho)
+        state = TwoPhotonPolState(args.phi, args.rho)
     except ValueError as error:
         parser.error(str(error))
     grid = np.linspace(args.delta_min, args.delta_max, args.samples)
@@ -399,7 +393,12 @@ def _run_verify(args, parser):
 
 def _run_si(args, parser):
     _check_wavelength(args, parser)
-    value = _si_scale(args, parser, args.theory)
+    # pqg: the product state's right-angle value, 32 (the psi+ Bell state
+    # gives 64), times the Planck-length conversion. qed: the loop cross
+    # section at its maximum, psi+ at theta = 0.
+    value = (si_convert(32.0, args.wavelength) if args.theory == "pqg"
+             else dcs_entangled_qed(0.0, TwoPhotonPolState.psi_plus(), args.wavelength))
+    _check_underflow(args, parser, args.theory, [value])
     label = ("32 l_P^4 / lambda^2" if args.theory == "pqg"
              else "loop prefactor times the maximal angle bracket")
     exponent = math.floor(math.log10(value))

@@ -13,12 +13,7 @@ import math
 
 import numpy as np
 
-from .cross_sections import (
-    TwoPhotonPolState,
-    _check_wavelength,
-    _float_or_array,
-    _interference_weight,
-)
+from .cross_sections import TwoPhotonPolState, _check_wavelength, _float_or_array
 
 __all__ = [
     "coincidence_factor",
@@ -30,13 +25,12 @@ def coincidence_factor(phase, state: TwoPhotonPolState):
     """1 + sin(2 phi) cos(Delta + rho), bounded by [0, 2], at the accumulated phase Delta.
 
     ``phase`` is a float or an array of them, and an array gives an array.
-    Every phase must be finite, and the state must belong to the (phi, rho)
-    two-term family; otherwise ValueError, naming the first non-finite phase.
+    Every phase must be finite; otherwise ValueError, naming the first
+    non-finite phase.
     """
     outside = np.asarray(phase)[~np.isfinite(phase)]
     if outside.size:
         raise ValueError(f"phase must be finite, got {float(outside[0])}")
-    _interference_weight(state)  # raises for a general-coefficient state
     return _float_or_array(1.0 + math.sin(2.0 * state.phi) * np.cos(phase + state.rho))
 
 

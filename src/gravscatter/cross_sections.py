@@ -9,11 +9,13 @@ the reduced amplitudes m at one angle, indexed [in1, in2, out1, out2], is
 
     dcs = (1/4) sum_{out} | sum_{in} c[in] m[in, out] |^2,
 
-and the closed forms below are what that contraction collapses to for the
-unpolarized average and for the two-term superposition family. The electron
-loop channel carries its own SI prefactor built from the fine-structure
-constant and the electron Compton wavelength, so those values are returned
-directly in m^2 per steradian.
+which dcs_general_state evaluates for any (2, 2) coefficient array. The
+closed forms below are what that contraction collapses to for the
+unpolarized average and for the two-term superposition family, the one kind
+of state TwoPhotonPolState holds; they depend on the state only through
+w = sin(2 phi) cos(rho). The electron loop channel carries its own SI
+prefactor built from the fine-structure constant and the electron Compton
+wavelength, so those values are returned directly in m^2 per steradian.
 
 The angle functions take a float or an array of angles. Powers of a
 per-angle value go through np.float_power, so an array gives, element by
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,103 +45,60 @@ __all__ = [
     "si_convert",
 ]
 
+NORMALIZATION_TOL = 1e-12
 
+
+@dataclass(frozen=True)
 class TwoPhotonPolState:
-    """Initial two-photon polarization state in the linear basis.
+    """Initial two-photon polarization state in the linear basis,
 
-    The constructor accepts arbitrary normalized coefficients c[xi1-1][xi2-1]
-    over the four product states |xi1, xi2>. The two-parameter family
+        cos(phi) |1, 2> + e^{i rho} sin(phi) |2, 1>,
 
-        cos(phi) |1, 2> + e^{i rho} sin(phi) |2, 1>
-
-    is built through ``from_angles`` with phi in [0, pi/2] and rho in
-    [-pi/2, 3 pi/2); phi = 0 or pi/2 is a product state, and phi = pi/4 with
-    rho = 0 or pi gives the symmetric or antisymmetric Bell state. States
-    built directly from coefficients report ``phi``/``rho`` as None and only
-    work with ``dcs_general_state``.
+    with phi in [0, pi/2] and rho in [-pi/2, 3 pi/2); phi = 0 or pi/2 is a
+    product state, and phi = pi/4 with rho = 0 or pi gives the symmetric or
+    antisymmetric Bell state. Any other coefficients go to
+    ``dcs_general_state`` as an array.
     """
 
-    NORMALIZATION_TOL = 1e-12
+    phi: float
+    rho: float
 
-    __slots__ = ("_coefficients", "_phi", "_rho")
-
-    def __init__(self, coefficients):
-        array = np.array(coefficients, dtype=np.complex128)
-        if array.shape != (2, 2):
-            raise ValueError(f"expected coefficient shape (2, 2), got {array.shape}")
-        if not np.all(np.isfinite(array)):
-            raise ValueError("state coefficients must be finite")
-        norm = float(np.sum(np.abs(array) ** 2))
-        if abs(norm - 1.0) > self.NORMALIZATION_TOL:
-            raise ValueError(f"squared coefficients must sum to 1, got {norm!r}")
-        array.flags.writeable = False
-        self._coefficients = array
-        self._phi = None
-        self._rho = None
-
-    @classmethod
-    def from_angles(cls, phi: float, rho: float) -> "TwoPhotonPolState":
-        phi = float(phi)
-        rho = float(rho)
-        if not 0.0 <= phi <= math.pi / 2:
-            raise ValueError(f"phi must lie in [0, pi/2], got {phi}")
-        if not -math.pi / 2 <= rho < 3 * math.pi / 2:
-            raise ValueError(f"rho must lie in [-pi/2, 3 pi/2), got {rho}")
-        coefficients = np.zeros((2, 2), dtype=np.complex128)
-        coefficients[0, 1] = math.cos(phi)
-        coefficients[1, 0] = cmath.exp(1j * rho) * math.sin(phi)
-        state = cls(coefficients)
-        state._phi = phi
-        state._rho = rho
-        return state
+    def __post_init__(self):
+        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "rho", float(self.rho))
+        if not 0.0 <= self.phi <= math.pi / 2:
+            raise ValueError(f"phi must lie in [0, pi/2], got {self.phi}")
+        if not -math.pi / 2 <= self.rho < 3 * math.pi / 2:
+            raise ValueError(f"rho must lie in [-pi/2, 3 pi/2), got {self.rho}")
 
     @classmethod
     def psi_plus(cls) -> "TwoPhotonPolState":
         """Symmetric Bell state, phi = pi/4 and rho = 0."""
-        return cls.from_angles(math.pi / 4, 0.0)
+        return cls(math.pi / 4, 0.0)
 
     @classmethod
     def psi_minus(cls) -> "TwoPhotonPolState":
         """Antisymmetric Bell state, phi = pi/4 and rho = pi."""
-        return cls.from_angles(math.pi / 4, math.pi)
+        return cls(math.pi / 4, math.pi)
 
     @property
     def coefficients(self) -> np.ndarray:
-        return self._coefficients
+        """Read-only (2, 2) array c[xi1-1][xi2-1] over the product states |xi1, xi2>."""
+        coefficients = np.zeros((2, 2), dtype=np.complex128)
+        coefficients[0, 1] = math.cos(self.phi)
+        coefficients[1, 0] = cmath.exp(1j * self.rho) * math.sin(self.phi)
+        coefficients.flags.writeable = False
+        return coefficients
 
     @property
-    def phi(self):
-        return self._phi
-
-    @property
-    def rho(self):
-        return self._rho
-
-    @property
-    def interference_weight(self):
-        """sin(2 phi) cos(rho), the knob every closed form depends on; None if general."""
-        if self._phi is None:
-            return None
-        return math.sin(2.0 * self._phi) * math.cos(self._rho)
-
-    def __repr__(self):
-        if self._phi is not None:
-            return f"TwoPhotonPolState.from_angles({self._phi!r}, {self._rho!r})"
-        return f"TwoPhotonPolState({self._coefficients.tolist()!r})"
+    def interference_weight(self) -> float:
+        """sin(2 phi) cos(rho), the knob every closed form depends on."""
+        return math.sin(2.0 * self.phi) * math.cos(self.rho)
 
 
 def _float_or_array(values):
     """A 0-d result as a Python float, an array result unchanged."""
     return values if np.ndim(values) else float(values)
-
-
-def _interference_weight(state: TwoPhotonPolState) -> float:
-    weight = state.interference_weight
-    if weight is None:
-        raise ValueError(
-            "closed form needs the (phi, rho) two-term family; general "
-            "coefficient states go only through dcs_general_state")
-    return weight
 
 
 def _check_wavelength(wavelength) -> None:
@@ -170,21 +130,32 @@ def dcs_entangled_pqg(theta, state: TwoPhotonPolState):
     and the w = -1 one shuts the right-angle rate off entirely.
     """
     theta = check_theta(theta)
-    weight = _interference_weight(state)
+    weight = state.interference_weight
     c = np.cos(theta)
     g = c + np.float_power(c, 3)
     bracket = 4.0 * (1.0 + weight) + (1.0 - weight) * g * g
     return _float_or_array(8.0 * bracket / np.float_power(np.sin(theta), 4))
 
 
-def dcs_general_state(state: TwoPhotonPolState, amplitudes):
+def dcs_general_state(coefficients, amplitudes):
     """Reduced cross section for arbitrary normalized coefficients.
 
-    Evaluates (1/4) sum_{out} |sum_{in} c m|^2 for amplitudes m of shape
-    (..., 2, 2, 2, 2), such as closed_form_grid or diagram_sum_grid give:
-    one row is one angle and gives a float, a grid gives an array.
+    Evaluates (1/4) sum_{out} |sum_{in} c m|^2 for a (2, 2) array-like c,
+    indexed c[xi1-1][xi2-1] (a family state passes ``state.coefficients``),
+    and amplitudes m of shape (..., 2, 2, 2, 2), such as closed_form_grid or
+    diagram_sum_grid give: one row is one angle and gives a float, a grid
+    gives an array. The squared coefficients must sum to 1 within
+    NORMALIZATION_TOL.
     """
-    outgoing = np.einsum("ij,...ijkl->...kl", state.coefficients, amplitudes)
+    coefficients = np.asarray(coefficients, dtype=np.complex128)
+    if coefficients.shape != (2, 2):
+        raise ValueError(f"expected coefficient shape (2, 2), got {coefficients.shape}")
+    if not np.all(np.isfinite(coefficients)):
+        raise ValueError("state coefficients must be finite")
+    norm = float(np.sum(np.abs(coefficients) ** 2))
+    if abs(norm - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"squared coefficients must sum to 1, got {norm!r}")
+    outgoing = np.einsum("ij,...ijkl->...kl", coefficients, amplitudes)
     return _float_or_array(0.25 * np.sum(np.abs(outgoing) ** 2, axis=(-2, -1)))
 
 
@@ -218,7 +189,7 @@ def qed_bracket(theta, state: TwoPhotonPolState):
     weight; defined on the closed interval [0, pi] since the loop elements
     have no pole.
     """
-    weight = _interference_weight(state)
+    weight = state.interference_weight
     c = np.cos(theta)
     return _float_or_array((1.0 + weight) * np.float_power(31.0 + 3.0 * c * c, 2)
                            + (1.0 - weight) * np.float_power(22.0 * c, 2))

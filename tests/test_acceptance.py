@@ -76,9 +76,9 @@ def test_criterion_3_entangled_closed_form_matches_contraction():
     rhos = np.linspace(-math.pi / 2, 3 * math.pi / 2, 10, endpoint=False)
     for theta, matrix in zip(thetas, closed_form_grid(thetas)):
         for phi, rho in itertools.product(phis, rhos):
-            state = TwoPhotonPolState.from_angles(float(phi), float(rho))
+            state = TwoPhotonPolState(float(phi), float(rho))
             closed = dcs_entangled_pqg(float(theta), state)
-            general = dcs_general_state(state, matrix)
+            general = dcs_general_state(state.coefficients, matrix)
             worst = max(worst, abs(closed - general) / max(abs(closed), 1.0))
     _verdict(3, "entangled closed form equals the general contraction at 1e-12",
              worst <= 1e-12, f"max deviation {worst:.2e} over a 10x10x10 lattice")
@@ -87,7 +87,7 @@ def test_criterion_3_entangled_closed_form_matches_contraction():
 def test_criterion_4_right_angle_anchors():
     plus = dcs_entangled_pqg(math.pi / 2, TwoPhotonPolState.psi_plus())
     minus = dcs_entangled_pqg(math.pi / 2, TwoPhotonPolState.psi_minus())
-    product = dcs_entangled_pqg(math.pi / 2, TwoPhotonPolState.from_angles(0.0, 0.0))
+    product = dcs_entangled_pqg(math.pi / 2, TwoPhotonPolState(0.0, 0.0))
     residues = (abs(plus - 64.0), abs(product - 32.0), abs(minus))
     ok = all(residue <= 1e-12 for residue in residues)
     _verdict(4, "right-angle rates are 64, 32 and 0 within 1e-12", ok,
@@ -116,7 +116,7 @@ def test_criterion_6_qed_closed_form_matches_element_assembly():
                  * constants.compton_wavelength ** 8 / wavelength ** 6)
     floor = 1e-12 * prefactor * 2312.0
     worst = 0.0
-    states = [TwoPhotonPolState.from_angles(phi, rho)
+    states = [TwoPhotonPolState(phi, rho)
               for phi in np.linspace(0.0, math.pi / 2, 6)
               for rho in np.linspace(-math.pi / 2, 3 * math.pi / 2, 6, endpoint=False)]
     for theta in np.linspace(0.0, math.pi, 50):
@@ -174,12 +174,12 @@ def test_criterion_7_symmetry_battery():
     basis_worst = 0.0
     for matrix in closed_form_grid([0.7, math.pi / 2, 2.3]):
         for state in (TwoPhotonPolState.psi_plus(),
-                      TwoPhotonPolState.from_angles(0.4, 1.0)):
-            reference = dcs_general_state(state, matrix)
+                      TwoPhotonPolState(0.4, 1.0)):
+            reference = dcs_general_state(state.coefficients, matrix)
             for _ in range(100):
                 u = random_unitary()
                 v = random_unitary()
-                rotated_state = TwoPhotonPolState(u @ state.coefficients @ v.T)
+                rotated_state = u @ state.coefficients @ v.T
                 rotated_values = np.einsum("Aa,Bb,abcd->ABcd",
                                            np.conj(u), np.conj(v), matrix)
                 rotated = dcs_general_state(rotated_state, rotated_values)
@@ -188,7 +188,7 @@ def test_criterion_7_symmetry_battery():
     # ordering of the canonical states everywhere on the grid
     plus_state = TwoPhotonPolState.psi_plus()
     minus_state = TwoPhotonPolState.psi_minus()
-    product_state = TwoPhotonPolState.from_angles(0.0, 0.0)
+    product_state = TwoPhotonPolState(0.0, 0.0)
     ordered = True
     for theta in GRID:
         top = dcs_entangled_pqg(float(theta), plus_state)
@@ -208,7 +208,7 @@ def test_criterion_7_symmetry_battery():
 def test_criterion_8_coincidence_factor():
     plus = TwoPhotonPolState.psi_plus()
     minus = TwoPhotonPolState.psi_minus()
-    product = TwoPhotonPolState.from_angles(0.0, 0.0)
+    product = TwoPhotonPolState(0.0, 0.0)
     anchors = (
         abs(coincidence_factor(0.0, plus) - 2.0),
         abs(coincidence_factor(0.0, product) - 1.0),
@@ -218,7 +218,7 @@ def test_criterion_8_coincidence_factor():
     rng = np.random.default_rng(8)
     bounded = True
     for _ in range(500):
-        state = TwoPhotonPolState.from_angles(
+        state = TwoPhotonPolState(
             float(rng.uniform(0.0, math.pi / 2)),
             float(rng.uniform(-math.pi / 2, 3 * math.pi / 2)))
         value = coincidence_factor(float(rng.uniform(-50.0, 50.0)), state)

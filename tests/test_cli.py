@@ -170,10 +170,16 @@ class TestCoincidenceScan:
         _, data = _rows(capsys.readouterr().out)
         assert all(row[1] == 1.0 for row in data)
 
-    def test_bad_state_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["coincidence-scan", "--phi", "2.0"])
-        assert excinfo.value.code == 2
+    def test_bad_state_is_usage_error(self, capsys):
+        for option, value, words in (("--phi", "2.0", "phi must lie in [0, pi/2]"),
+                                     ("--rho", "5.0", "rho must lie in")):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["coincidence-scan", option, value])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            last = captured.err.strip().splitlines()[-1]
+            assert last.startswith("gravscatter: error: ") and words in last
 
     def test_bad_grid_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -317,6 +323,19 @@ class TestUnevaluableInputs:
         last = captured.err.strip().splitlines()[-1]
         assert last.startswith("gravscatter: error: ")
         return last
+
+    @pytest.mark.parametrize("argv", [
+        # Only the row next to the pole is representable in SI units.
+        ["dcs-scan", "--units", "si", "--lambda", "1e100", "--theta-min", "1e-8",
+         "--theta-max", "1.5", "--samples", "3"],
+        # An overflow to inf is a non-zero row too.
+        ["dcs-scan", "--units", "si", "--lambda", "1e100", "--theta-min", "1e-80",
+         "--samples", "3"],
+    ])
+    def test_si_scan_with_a_non_zero_row_prints(self, argv, capsys):
+        assert main(argv) == 0
+        _, data = _rows(capsys.readouterr().out)
+        assert all(value != 0.0 for value in data[0])
 
     def test_overflow_rows_still_print(self, capsys):
         assert main(["dcs-scan", "--theta-min", "1e-80", "--samples", "3"]) == 0

@@ -13,7 +13,7 @@ from gravscatter.cross_sections import TwoPhotonPolState
 
 
 def _factor(phase, phi, rho):
-    return coincidence_factor(phase, TwoPhotonPolState.from_angles(phi, rho))
+    return coincidence_factor(phase, TwoPhotonPolState(phi, rho))
 
 
 def test_symmetric_bell_state_doubles_at_zero_phase():
@@ -86,11 +86,6 @@ class TestSeparationToPhase:
 
 
 class TestCoincidenceFactorInputs:
-    def test_rejects_general_state(self):
-        general = TwoPhotonPolState(np.eye(2, dtype=complex) / math.sqrt(2.0))
-        with pytest.raises(ValueError, match="two-term family"):
-            coincidence_factor(0.0, general)
-
     def test_rejects_non_finite_phase(self):
         for phase in (math.nan, np.array([0.5, -math.inf])):
             with pytest.raises(ValueError, match="finite"):

@@ -33,11 +33,11 @@ from gravscatter.cross_sections import (
 )
 
 STATES = (
-    TwoPhotonPolState.from_angles(0.0, 0.0),
+    TwoPhotonPolState(0.0, 0.0),
     TwoPhotonPolState.psi_plus(),
     TwoPhotonPolState.psi_minus(),
-    TwoPhotonPolState.from_angles(0.3, 2.0),
-    TwoPhotonPolState.from_angles(1.2, -1.0),
+    TwoPhotonPolState(0.3, 2.0),
+    TwoPhotonPolState(1.2, -1.0),
 )
 # Dense enough that numpy's SIMD `**` would miss the scalar pow on hundreds
 # of these angles; both ends sit 1e-7 from a pole.

@@ -1,5 +1,7 @@
 """Cross-section closed forms, the general contraction rule, and unit handling."""
 
+import cmath
+import dataclasses
 import itertools
 import math
 
@@ -22,15 +24,15 @@ from gravscatter.cross_sections import (
 from gravscatter.qed import qed_element_1212, qed_element_1221
 
 
-def _basis_state(xi1: int, xi2: int) -> TwoPhotonPolState:
+def _basis_state(xi1: int, xi2: int) -> np.ndarray:
     coefficients = np.zeros((2, 2), dtype=complex)
     coefficients[xi1 - 1, xi2 - 1] = 1.0
-    return TwoPhotonPolState(coefficients)
+    return coefficients
 
 
-def _random_state(rng) -> TwoPhotonPolState:
+def _random_state(rng) -> np.ndarray:
     raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    return TwoPhotonPolState(raw / np.linalg.norm(raw))
+    return raw / np.linalg.norm(raw)
 
 
 def _random_unitary(rng) -> np.ndarray:
@@ -48,10 +50,10 @@ def _rotate_incoming_basis(matrix: np.ndarray, u: np.ndarray,
 
 class TestTwoPhotonPolState:
     def test_angle_construction(self):
-        state = TwoPhotonPolState.from_angles(0.3, 1.1)
+        state = TwoPhotonPolState(0.3, 1.1)
         c = state.coefficients
-        assert_allclose(c[0, 1], math.cos(0.3), rtol=1e-15)
-        assert_allclose(c[1, 0], math.sin(0.3) * np.exp(1j * 1.1), rtol=1e-15)
+        assert c[0, 1] == math.cos(0.3)
+        assert c[1, 0] == cmath.exp(1j * 1.1) * math.sin(0.3)
         assert c[0, 0] == 0.0 and c[1, 1] == 0.0
         assert state.phi == 0.3 and state.rho == 1.1
 
@@ -66,26 +68,8 @@ class TestTwoPhotonPolState:
         assert minus.interference_weight == -1.0
 
     def test_product_state_weight_vanishes(self):
-        assert TwoPhotonPolState.from_angles(0.0, 0.0).interference_weight == 0.0
-        assert TwoPhotonPolState.from_angles(math.pi / 2, 0.5).interference_weight == pytest.approx(0.0, abs=1e-15)
-
-    def test_general_state_has_no_angles(self):
-        state = _basis_state(1, 1)
-        assert state.phi is None
-        assert state.rho is None
-        assert state.interference_weight is None
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            TwoPhotonPolState([[1.0, 0.0], [0.5, 0.0]])
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            TwoPhotonPolState([1.0, 0.0, 0.0, 0.0])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            TwoPhotonPolState([[math.nan, 0.0], [0.0, 0.0]])
+        assert TwoPhotonPolState(0.0, 0.0).interference_weight == 0.0
+        assert TwoPhotonPolState(math.pi / 2, 0.5).interference_weight == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("phi,rho", [
         (-0.1, 0.0),
@@ -95,14 +79,13 @@ class TestTwoPhotonPolState:
     ])
     def test_angle_domain(self, phi, rho):
         with pytest.raises(ValueError):
-            TwoPhotonPolState.from_angles(phi, rho)
+            TwoPhotonPolState(phi, rho)
 
-    @pytest.mark.parametrize("state", [
-        TwoPhotonPolState.from_angles(0.3, 1.1),
-        _random_state(np.random.default_rng(7)),
-    ], ids=["from_angles", "general"])
-    def test_repr_rebuilds_the_state(self, state):
+    def test_repr_rebuilds_the_state(self):
+        state = TwoPhotonPolState(0.3, 1.1)
+        assert repr(state) == "TwoPhotonPolState(phi=0.3, rho=1.1)"
         rebuilt = eval(repr(state), {"TwoPhotonPolState": TwoPhotonPolState})
+        assert rebuilt == state
         assert np.array_equal(rebuilt.coefficients, state.coefficients)
         assert (rebuilt.phi, rebuilt.rho) == (state.phi, state.rho)
 
@@ -110,6 +93,11 @@ class TestTwoPhotonPolState:
         state = TwoPhotonPolState.psi_plus()
         with pytest.raises(ValueError):
             state.coefficients[0, 0] = 1.0
+
+    def test_frozen(self):
+        state = TwoPhotonPolState.psi_plus()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.phi = None
 
 
 class TestAveraged:
@@ -142,13 +130,13 @@ class TestEntangledPqg:
     def test_right_angle_anchors(self):
         plus = TwoPhotonPolState.psi_plus()
         minus = TwoPhotonPolState.psi_minus()
-        product = TwoPhotonPolState.from_angles(0.0, 0.0)
+        product = TwoPhotonPolState(0.0, 0.0)
         assert abs(dcs_entangled_pqg(math.pi / 2, plus) - 64.0) <= 1e-12
         assert abs(dcs_entangled_pqg(math.pi / 2, product) - 32.0) <= 1e-12
         assert abs(dcs_entangled_pqg(math.pi / 2, minus)) <= 1e-12
 
     def test_pi_third_product_anchor(self):
-        product = TwoPhotonPolState.from_angles(0.0, 0.0)
+        product = TwoPhotonPolState(0.0, 0.0)
         assert_allclose(dcs_entangled_pqg(math.pi / 3, product), 562.0 / 9.0,
                         rtol=1e-13)
 
@@ -158,15 +146,15 @@ class TestEntangledPqg:
         for theta in np.linspace(0.3, math.pi - 0.3, 10):
             matrix = closed_form_grid([theta])[0]
             for phi, rho in itertools.product(phis, rhos):
-                state = TwoPhotonPolState.from_angles(phi, rho)
+                state = TwoPhotonPolState(phi, rho)
                 closed = dcs_entangled_pqg(theta, state)
-                general = dcs_general_state(state, matrix)
+                general = dcs_general_state(state.coefficients, matrix)
                 assert abs(closed - general) <= 1e-12 * max(abs(closed), 1.0)
 
-    def test_depends_only_on_interference_weight(self):
+    def test_depends_only_on_sin_2phi_cos_rho(self):
         # two very different (phi, rho) pairs with the same weight
-        first = TwoPhotonPolState.from_angles(math.pi / 4, math.pi / 3)
-        second = TwoPhotonPolState.from_angles(math.pi / 12, 0.0)
+        first = TwoPhotonPolState(math.pi / 4, math.pi / 3)
+        second = TwoPhotonPolState(math.pi / 12, 0.0)
         assert_allclose(first.interference_weight, 0.5, rtol=1e-14)
         assert_allclose(second.interference_weight, 0.5, rtol=1e-14)
         for theta in (0.4, 1.1, 2.7):
@@ -176,7 +164,7 @@ class TestEntangledPqg:
     def test_bell_states_bracket_product_state(self):
         plus = TwoPhotonPolState.psi_plus()
         minus = TwoPhotonPolState.psi_minus()
-        product = TwoPhotonPolState.from_angles(0.0, 0.0)
+        product = TwoPhotonPolState(0.0, 0.0)
         for theta in np.linspace(0.05, math.pi - 0.05, 50):
             top = dcs_entangled_pqg(theta, plus)
             mid = dcs_entangled_pqg(theta, product)
@@ -188,17 +176,26 @@ class TestEntangledPqg:
     def test_small_angle_entanglement_blindness(self):
         # forward scattering cannot tell Bell states from product states
         plus = TwoPhotonPolState.psi_plus()
-        product = TwoPhotonPolState.from_angles(0.0, 0.0)
+        product = TwoPhotonPolState(0.0, 0.0)
         for theta in (0.005, 0.01, 0.02, 0.05):
             ratio = dcs_entangled_pqg(theta, plus) / dcs_entangled_pqg(theta, product)
             assert abs(ratio - 1.0) <= 0.01
 
-    def test_general_state_rejected(self):
-        with pytest.raises(ValueError):
-            dcs_entangled_pqg(1.0, _basis_state(1, 1))
 
 
 class TestGeneralState:
+    def test_rejects_unnormalized(self):
+        with pytest.raises(ValueError, match="must sum to 1"):
+            dcs_general_state([[1.0, 0.0], [0.5, 0.0]], closed_form_grid([1.0])[0])
+
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            dcs_general_state([1.0, 0.0, 0.0, 0.0], closed_form_grid([1.0])[0])
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            dcs_general_state([[math.nan, 0.0], [0.0, 0.0]], closed_form_grid([1.0])[0])
+
     def test_single_basis_state_anchor(self):
         # incoming (1, 1) at a right angle: (81 + 49) / 4
         matrix = closed_form_grid([math.pi / 2])[0]
@@ -222,7 +219,7 @@ class TestGeneralState:
         for _ in range(10):
             u = _random_unitary(rng)
             v = _random_unitary(rng)
-            rotated_state = TwoPhotonPolState(u @ state.coefficients @ v.T)
+            rotated_state = u @ state @ v.T
             rotated_matrix = _rotate_incoming_basis(matrix, u, v)
             value = dcs_general_state(rotated_state, rotated_matrix)
             assert_allclose(value, reference, rtol=1e-12)
@@ -230,7 +227,7 @@ class TestGeneralState:
     def test_result_shape_follows_the_leading_axes(self):
         grid = np.array([[0.4, 1.1, 2.0], [0.7, 1.6, 2.9]])
         amplitudes = closed_form_grid(grid.ravel()).reshape(grid.shape + (2, 2, 2, 2))
-        state = TwoPhotonPolState.psi_plus()
+        state = TwoPhotonPolState.psi_plus().coefficients
         values = dcs_general_state(state, amplitudes)
         assert values.shape == grid.shape
         flat = amplitudes.reshape(-1, 2, 2, 2, 2)
@@ -241,10 +238,11 @@ class TestGeneralState:
         grid = np.linspace(0.05, math.pi - 0.05, 301)
         rng = np.random.default_rng(42)
         two_term = [TwoPhotonPolState.psi_plus(), TwoPhotonPolState.psi_minus(),
-                    TwoPhotonPolState.from_angles(0.0, 0.0),
-                    TwoPhotonPolState.from_angles(0.4, 1.0)]
+                    TwoPhotonPolState(0.0, 0.0),
+                    TwoPhotonPolState(0.4, 1.0)]
         for amplitudes in (closed_form_grid(grid), diagram_sum_grid(grid)):
-            for state in two_term + [_random_state(rng) for _ in range(3)]:
+            for state in ([s.coefficients for s in two_term]
+                          + [_random_state(rng) for _ in range(3)]):
                 values = dcs_general_state(state, amplitudes)
                 assert values.shape == grid.shape
                 for value, row in zip(values, amplitudes):
@@ -252,7 +250,7 @@ class TestGeneralState:
                     assert isinstance(single, float) and value == single
             for state in two_term:
                 closed = dcs_entangled_pqg(grid, state)
-                general = dcs_general_state(state, amplitudes)
+                general = dcs_general_state(state.coefficients, amplitudes)
                 assert np.all(np.abs(closed - general) <= 1e-12 * np.maximum(closed, 1.0))
 
 
@@ -283,14 +281,14 @@ class TestQedCrossSection:
     def test_bracket_anchors(self):
         plus = TwoPhotonPolState.psi_plus()
         minus = TwoPhotonPolState.psi_minus()
-        product = TwoPhotonPolState.from_angles(0.0, 0.0)
+        product = TwoPhotonPolState(0.0, 0.0)
         assert_allclose(qed_bracket(0.0, plus), 2.0 * 34.0 ** 2, rtol=1e-14)
         assert_allclose(qed_bracket(0.0, minus), 2.0 * 484.0, rtol=1e-14)
         assert_allclose(qed_bracket(0.0, product), 34.0 ** 2 + 484.0, rtol=1e-14)
 
     def test_right_angle_ratio(self):
         plus = TwoPhotonPolState.psi_plus()
-        product = TwoPhotonPolState.from_angles(0.0, 0.0)
+        product = TwoPhotonPolState(0.0, 0.0)
         ratio = (dcs_entangled_qed(math.pi / 2, plus, 500e-9)
                  / dcs_entangled_qed(math.pi / 2, product, 500e-9))
         assert_allclose(ratio, 2.0, rtol=1e-12)
@@ -317,7 +315,7 @@ class TestQedCrossSection:
         for theta in np.linspace(0.0, math.pi, 21):
             for phi, rho in ((0.0, 0.0), (math.pi / 4, 0.0), (math.pi / 4, math.pi),
                              (0.3, 1.2), (math.pi / 8, -0.7)):
-                state = TwoPhotonPolState.from_angles(phi, rho)
+                state = TwoPhotonPolState(phi, rho)
                 keep = (state.coefficients[0, 1] * qed_element_1212(theta)
                         + state.coefficients[1, 0] * qed_element_1221(theta))
                 swap = (state.coefficients[0, 1] * qed_element_1221(theta)
@@ -333,10 +331,6 @@ class TestQedCrossSection:
         for wavelength in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="wavelength"):
                 dcs_entangled_qed(1.0, TwoPhotonPolState.psi_plus(), wavelength)
-
-    def test_general_state_rejected(self):
-        with pytest.raises(ValueError):
-            qed_bracket(1.0, _basis_state(1, 2))
 
 
 class TestSiConversion:
