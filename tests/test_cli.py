@@ -337,6 +337,15 @@ class TestUnevaluableInputs:
         _, data = _rows(capsys.readouterr().out)
         assert all(value != 0.0 for value in data[0])
 
+    def test_si_scan_with_a_zero_cell_prints(self, capsys):
+        # psi- vanishes at the right angle, but the table's largest value does not
+        argv = ["qed-scan", "--units", "si", "--lambda", "1e31", "--theta-min", "1e-8",
+                "--theta-max", repr(math.pi / 2), "--samples", "2"]
+        assert main(argv) == 0
+        _, data = _rows(capsys.readouterr().out)
+        assert all(value > 0.0 for value in data[0][1:])
+        assert data[-1][3] == 0.0 < data[-1][1]
+
     def test_overflow_rows_still_print(self, capsys):
         assert main(["dcs-scan", "--theta-min", "1e-80", "--samples", "3"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "1e-80,inf,inf,inf,inf"

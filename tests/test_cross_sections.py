@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from gravscatter.amplitudes import closed_form_grid, diagram_sum_grid
 from gravscatter.constants import CODATA_2022, Constants
 from gravscatter.cross_sections import (
+    NORMALIZATION_TOL,
     TwoPhotonPolState,
     dcs_averaged,
     dcs_entangled_pqg,
@@ -98,6 +99,16 @@ class TestTwoPhotonPolState:
         state = TwoPhotonPolState.psi_plus()
         with pytest.raises(dataclasses.FrozenInstanceError):
             state.phi = None
+
+    def test_fields_are_floats(self):
+        # ints and numpy scalars become plain floats, so equal angles give
+        # equal, hashable states and no field or property is ever None
+        state = TwoPhotonPolState(0, np.float64(1.0))
+        assert type(state.phi) is float and type(state.rho) is float
+        assert state == TwoPhotonPolState(0.0, 1.0)
+        assert hash(state) == hash(TwoPhotonPolState(0.0, 1.0))
+        assert type(state.interference_weight) is float
+        assert state.coefficients.shape == (2, 2)
 
 
 class TestAveraged:
@@ -195,6 +206,15 @@ class TestGeneralState:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             dcs_general_state([[math.nan, 0.0], [0.0, 0.0]], closed_form_grid([1.0])[0])
+
+    def test_normalization_tolerance(self):
+        assert NORMALIZATION_TOL == 1e-12
+        matrix = closed_form_grid([1.0])[0]
+        inside = np.sqrt(1.0 + 0.5 * NORMALIZATION_TOL)
+        outside = np.sqrt(1.0 + 2.0 * NORMALIZATION_TOL)
+        assert dcs_general_state(inside * _basis_state(1, 2), matrix) > 0.0
+        with pytest.raises(ValueError, match="must sum to 1"):
+            dcs_general_state(outside * _basis_state(1, 2), matrix)
 
     def test_single_basis_state_anchor(self):
         # incoming (1, 1) at a right angle: (81 + 49) / 4
