@@ -32,7 +32,7 @@ print("channel-by-channel breakdown for the cross-polarized pattern 1212")
 pattern = (1, 2, 1, 2)
 # Photon k's polarization vector for its label in the pattern.
 pols = basis[np.arange(4), [label - 1 for label in pattern]]
-channels = channel_amplitudes(momenta, pols)
+channels = channel_amplitudes(THETA, pols)
 for name, value in zip("tus", channels):
     print(f"  {name}-exchange: {value:+.6f}")
 print(f"  sum:        {channels.sum():+.6f}")
@@ -54,7 +54,7 @@ print("gauge check: shift the in-plane polarization of photon 3 by 5 * p3")
 shifted = pols.copy()
 shifted[2] += 5.0 * momenta[2]
 before = channels.sum()
-after = channel_amplitudes(momenta, shifted).sum()
+after = channel_amplitudes(THETA, shifted).sum()
 print(f"  before {before:+.12f}")
 print(f"  after  {after:+.12f}")
 print(f"  relative movement {abs(after - before) / abs(before):.2e}")

@@ -24,8 +24,6 @@ the order 1111, 1112, ..., 2222. One angle is a one-element grid.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .kinematics import check_theta, com_arrays
@@ -128,43 +126,35 @@ _CHANNELS = (
 )
 
 
-def _check_pole(channel: str, q2: np.ndarray, momenta) -> None:
-    if not np.any(np.abs(q2) < POLE_TOLERANCE):
-        return
-    q2, p1, p3 = np.broadcast_arrays(q2[..., None], momenta[0][..., 1:], momenta[2][..., 1:])
-    row = tuple(np.argwhere(np.abs(q2[..., 0]) < POLE_TOLERANCE)[0])
-    theta = math.atan2(np.linalg.norm(np.cross(p1[row], p3[row])), p1[row] @ p3[row])
-    raise PoleError(
-        f"{channel}-channel exchange momentum squared {q2[row][0]:.3e} lies "
-        f"within {POLE_TOLERANCE} of the pole at theta = {theta:.6g}"
-    )
-
-
-def channel_amplitudes(momenta, polarizations, *,
+def channel_amplitudes(theta, polarizations, *,
                        vertex_perturbation: float = 0.0) -> np.ndarray:
-    """Reduced t, u and s exchange amplitudes, batched by broadcasting.
+    """Reduced t, u and s exchange amplitudes at angle theta, batched by broadcasting.
 
-    ``momenta`` and ``polarizations`` hold four arrays each, one per photon
-    in order (a sequence, or an array with the photon on its first axis),
-    with contravariant components on the last axis. Their leading shapes
-    broadcast together; the result has that shape plus a last axis t, u, s.
-    Giving each photon's label its own axis yields all 16 patterns while
-    each vertex block is built once per label pair. Polarizations may be
+    ``theta`` is an angle or an array of them; com_arrays builds the momenta
+    and check_theta refuses an angle outside (0, pi). ``polarizations`` holds
+    four arrays, one per photon in order (a sequence, or an array with the
+    photon on its first axis), with contravariant components on the last
+    axis. Theta's shape and the polarizations' leading shapes broadcast
+    together; the result has that shape plus a last axis t, u, s. Giving
+    each photon's label its own axis yields all 16 patterns while each
+    vertex block is built once per label pair. Polarizations may be
     arbitrary, e.g. gauge-shifted. Raises PoleError, naming the channel and
     the angle, where an exchange momentum squared is within POLE_TOLERANCE
     of zero.
     """
-    momenta = [np.asarray(v, dtype=np.float64) for v in momenta]
+    momenta = np.moveaxis(com_arrays(theta)[0], -2, 0)
     polarizations = [np.asarray(v, dtype=np.float64) for v in polarizations]
-    if (len(momenta), len(polarizations)) != (4, 4) or any(
-            v.shape[-1:] != (4,) for v in momenta + polarizations):
-        raise ValueError("need four momenta and four polarizations, each with "
-                         "four components on the last axis")
+    if len(polarizations) != 4 or any(v.shape[-1:] != (4,) for v in polarizations):
+        raise ValueError("need four polarizations, each with four components on the last axis")
     amplitudes = []
     for channel, vertices, (k, sign) in _CHANNELS:
         q = momenta[0] + sign * momenta[k]
         q2 = minkowski_dot(q, q)
-        _check_pole(channel, q2, momenta)
+        near = np.abs(q2) < POLE_TOLERANCE
+        if np.any(near):
+            raise PoleError(f"{channel}-channel exchange momentum squared {q2[near][0]:.3e} "
+                            f"lies within {POLE_TOLERANCE} of the pole at theta = "
+                            f"{np.asarray(theta)[near][0]:.6g}")
         block1, block2 = (
             contracted_vertex(sign_out * momenta[out], sign_in * momenta[into],
                               polarizations[out], polarizations[into],
@@ -184,12 +174,13 @@ def diagram_sum_grid(theta, *, vertex_perturbation: float = 0.0) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     values = np.empty((theta.size, 2, 2, 2, 2))
     for start in range(0, theta.size, CHUNK_ANGLES):
-        momenta, basis = com_arrays(theta[start:start + CHUNK_ANGLES])
-        moms = [momenta[:, k, None, None, None, None] for k in range(4)]
+        chunk = theta[start:start + CHUNK_ANGLES]
+        basis = com_arrays(chunk)[1]
         pols = [basis[:, k].reshape((-1,) + tuple(2 if j == k else 1 for j in range(4)) + (4,))
                 for k in range(4)]
         values[start:start + CHUNK_ANGLES] = channel_amplitudes(
-            moms, pols, vertex_perturbation=vertex_perturbation).sum(axis=-1)
+            chunk[:, None, None, None, None], pols,
+            vertex_perturbation=vertex_perturbation).sum(axis=-1)
     return values
 
 

@@ -4,11 +4,11 @@ Subcommands cover amplitude tables, gravitational and loop-induced cross
 section scans, coincidence-fringe scans, SI magnitude summaries and the
 verification gate that replays the diagram evaluation against the closed
 forms. All angles are radians. Exit codes: 0 on success, 1 when verification
-fails, 2 on usage errors, a grid that reaches a pole included, and on output
-errors (an unwritable --output or stdout, or a failed formatting worker),
-reported on one line of stderr. A stdout closed by its reader (``| head``)
-ends the command quietly with 141, the status of a program stopped by
-SIGPIPE.
+fails, 2 on usage errors, a grid that reaches a pole and a --samples too
+large to allocate included, and on output errors (an unwritable --output or
+stdout, or a failed formatting worker), reported on one line of stderr. A
+stdout closed by its reader (``| head``) ends the command quietly with 141,
+the status of a program stopped by SIGPIPE.
 
 Each subcommand handler returns its result, and main alone writes it in the
 chosen format. A scan's table is named numpy columns, one array per column,
@@ -202,9 +202,17 @@ def _theta_grid(args, parser) -> np.ndarray:
         ordered = False
     if not ordered:
         parser.error("need 0 < --theta-min < --theta-max < pi")
-    if args.samples < 2:
+    return _grid(args.theta_min, args.theta_max, args.samples, parser)
+
+
+def _grid(start: float, stop: float, samples: int, parser) -> np.ndarray:
+    """np.linspace(start, stop, samples), or a usage error for a count it refuses."""
+    if samples < 2:
         parser.error("--samples must be at least 2")
-    return np.linspace(args.theta_min, args.theta_max, args.samples)
+    try:
+        return np.linspace(start, stop, samples)
+    except ValueError:  # numpy's "Maximum allowed size exceeded"
+        parser.error(f"--samples {samples} is too large to allocate")
 
 
 def _check_wavelength(args, parser) -> None:
@@ -283,14 +291,14 @@ def build_verify_report(theta_min: float = VERIFY_THETA_MIN,
     # pols[angle, pattern, 0] holds the physical polarizations; entry j > 0
     # shifts photon j's by xi * p_j.
     rng = np.random.default_rng(seed)
-    momenta, basis = com_arrays(np.linspace(theta_min, theta_max, _GAUGE_ANGLES))
+    angles = np.linspace(theta_min, theta_max, _GAUGE_ANGLES)
+    momenta, basis = com_arrays(angles)
     xi = rng.uniform(-10.0, 10.0, size=(_GAUGE_ANGLES, len(_NONZERO_LABELS), 4))
     physical = basis[:, np.arange(4), _NONZERO_LABELS]
     pols = np.repeat(physical[:, :, None], 5, axis=2)
     for photon in range(4):
         pols[:, :, photon + 1, photon] += xi[:, :, photon, None] * momenta[:, None, photon]
-    sums = channel_amplitudes(np.moveaxis(momenta[:, None, None], -2, 0),
-                              np.moveaxis(pols, -2, 0),
+    sums = channel_amplitudes(angles[:, None, None], np.moveaxis(pols, -2, 0),
                               vertex_perturbation=vertex_perturbation).sum(axis=-1)
     base = sums[:, :, :1]
     gauge_deviation = float(np.max(np.abs(sums[:, :, 1:] - base) / np.abs(base)))
@@ -363,13 +371,11 @@ def _run_qed_scan(args, parser):
 def _run_coincidence_scan(args, parser):
     if not -math.inf < args.delta_min < args.delta_max < math.inf:
         parser.error("need finite --delta-min < --delta-max")
-    if args.samples < 2:
-        parser.error("--samples must be at least 2")
+    grid = _grid(args.delta_min, args.delta_max, args.samples, parser)
     try:
         state = TwoPhotonPolState(args.phi, args.rho)
     except ValueError as error:
         parser.error(str(error))
-    grid = np.linspace(args.delta_min, args.delta_max, args.samples)
     columns = {"delta": grid, "factor": coincidence_factor(grid, state)}
     return {"phi": args.phi, "rho": args.rho, **columns}, columns
 
@@ -526,6 +532,8 @@ def main(argv=None) -> int:
         _emit(pieces, args.output)
     except PoleError as error:
         parser.error(str(error))
+    except MemoryError:
+        parser.error("cannot allocate the arrays: --samples is too large")
     except ArithmeticError as error:
         parser.error(f"cannot evaluate ({error}): an input lies on a pole or outside "
                      "floating-point range")

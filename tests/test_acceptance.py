@@ -155,13 +155,13 @@ def test_criterion_7_symmetry_battery():
         momenta, basis = com_arrays(float(theta))
         for pattern in ((1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 1, 2), (2, 2, 2, 2)):
             pols = basis[np.arange(4), _index(pattern)]
-            base = channel_amplitudes(momenta, pols).sum()
+            base = channel_amplitudes(theta, pols).sum()
             for photon in range(4):
                 xi = float(rng.uniform(-10.0, 10.0))
                 shifted = pols.copy()
                 shifted[photon] += xi * momenta[photon]
                 gauge_worst = max(gauge_worst,
-                                  abs(channel_amplitudes(momenta, shifted).sum() - base)
+                                  abs(channel_amplitudes(theta, shifted).sum() - base)
                                   / abs(base))
 
     # invariance under local polarization-basis rotations

@@ -41,7 +41,7 @@ def _legs(theta, pattern):
 
 def _pattern_channels(theta, pattern):
     """The t, u and s amplitudes of one pattern at one angle."""
-    return channel_amplitudes(*_legs(theta, pattern))
+    return channel_amplitudes(theta, _legs(theta, pattern)[1])
 
 
 def _shifted(pols, photon, shift):
@@ -224,6 +224,8 @@ class TestExchangeMomenta:
     def test_grid_pole_error_names_channel_and_angle(self, theta, channel, shown):
         with pytest.raises(PoleError, match=f"{channel}-channel .* theta = {shown}"):
             diagram_sum_grid([1.0, theta])
+        with pytest.raises(PoleError, match=f"{channel}-channel .* theta = {shown}"):
+            _pattern_channels(theta, (1, 1, 1, 1))
 
 
 class TestDiagramSum:
@@ -272,21 +274,22 @@ class TestDiagramSum:
         for theta in (0.5, math.pi / 2, 2.4):
             for pattern in ((1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 1, 2), (2, 2, 2, 2)):
                 momenta, pols = _legs(theta, pattern)
-                base = channel_amplitudes(momenta, pols).sum()
+                base = channel_amplitudes(theta, pols).sum()
                 for photon in (1, 2, 3, 4):
                     xi = float(rng.uniform(-10.0, 10.0))
                     shifted = _shifted(pols, photon, xi * momenta[photon - 1])
-                    moved = channel_amplitudes(momenta, shifted).sum()
+                    moved = channel_amplitudes(theta, shifted).sum()
                     assert abs(moved - base) <= 1e-12 * abs(base)
 
     def test_each_single_diagram_is_gauge_invariant(self):
         # the vertex is transverse in both photon slots, so even one topology
         # on its own must not move under a gauge shift
-        momenta, pols = _legs(1.2, (1, 2, 1, 2))
-        base = channel_amplitudes(momenta, pols)
+        theta = 1.2
+        momenta, pols = _legs(theta, (1, 2, 1, 2))
+        base = channel_amplitudes(theta, pols)
         for photon in (1, 2, 3, 4):
             shifted = _shifted(pols, photon, 2.5 * momenta[photon - 1])
-            moved = channel_amplitudes(momenta, shifted)
+            moved = channel_amplitudes(theta, shifted)
             for channel in range(3):
                 assert abs(moved[channel] - base[channel]) <= \
                     1e-12 * max(abs(base[channel]), 1.0)
@@ -321,9 +324,12 @@ class TestDiagramSumGrid:
         assert report.gauge_deviation > report.gauge_tolerance
 
     def test_domain_errors(self):
+        pols = _legs(1.0, (1, 1, 1, 1))[1]
         for theta in (0.0, math.pi, math.nan):
             with pytest.raises(ValueError, match="strictly between 0 and pi"):
                 diagram_sum_grid([1.0, theta])
+            with pytest.raises(ValueError, match="strictly between 0 and pi"):
+                channel_amplitudes(theta, pols)
             with pytest.raises(ValueError, match="strictly between 0 and pi"):
                 closed_form_grid([1.0, theta])
 

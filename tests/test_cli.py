@@ -299,6 +299,13 @@ class TestUnevaluableInputs:
          "pqg cross section at --lambda 1e+100 underflows to 0"),
         (["qed-scan", "--lambda", "1e40", "--samples", "3"],
          "qed cross section at --lambda 1e+40 underflows to 0"),
+        # numpy refuses the first count outright; the second would need
+        # 711 PiB. Neither allocates anything.
+        (["verify", "--samples", "10000000000000000000"], "--samples"),
+        (["verify", "--samples", "100000000000000000", "--format", "json"], "--samples"),
+        (["coincidence-scan", "--samples", "10000000000000000000"], "--samples"),
+        (["coincidence-scan", "--samples", "100000000000000000"], "--samples"),
+        (["coincidence-scan", "--samples", "1"], "--samples must be at least 2"),
     ])
     def test_usage_error(self, argv, words, capsys):
         assert words in self._error_line(argv, capsys)
@@ -483,3 +490,19 @@ class TestFormattingWorkers:
         assert out == "".join(table.splitlines(keepends=True)[:51])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_exit_status_fails_the_command(self, monkeypatch, capsys):
+        argv = ["dcs-scan", "--samples", "95"]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        # Each worker sends every frame, then exits 3 instead of 0.
+        real_exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(3 if code == 0 else code))
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 10)
+        monkeypatch.setattr(cli, "_workers", lambda values: 2)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert "ended with wait status" in _output_error_line(err.encode())
+        assert out == table

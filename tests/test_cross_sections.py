@@ -288,6 +288,14 @@ class TestRelativePhase:
         element = lambda angle: complex(math.cos(angle))
         assert_allclose(relative_phase(0.3, element=element), math.pi, rtol=1e-12)
 
+    def test_wraps_both_ways(self):
+        # phases pi - 0.1 and -(pi - 0.1) on either side of pi/2: the raw
+        # difference +-(2 pi - 0.2) wraps to -+0.2
+        element = lambda angle: cmath.exp(
+            1j * (math.pi - 0.1) * (1 if angle < math.pi / 2 else -1))
+        assert_allclose(relative_phase(0.3, element=element), -0.2, rtol=1e-12)
+        assert_allclose(relative_phase(2.8, element=element), 0.2, rtol=1e-12)
+
     def test_vanishing_element_rejected(self):
         with pytest.raises(ValueError):
             relative_phase(1.0, element=lambda angle: 0.0)

@@ -126,6 +126,6 @@ class TestContractRank4Vectors:
         ((4,), (4,), (4,), (4,), (4,)),
     ])
     def test_invalid_slots(self, slots):
-        momenta = np.ones((4, 4))
-        with pytest.raises(ValueError, match="four polarizations"):
-            channel_amplitudes(momenta, [np.ones(shape) for shape in slots])
+        with pytest.raises(ValueError, match="need four polarizations, each with four "
+                                             "components on the last axis"):
+            channel_amplitudes(1.0, [np.ones(shape) for shape in slots])
