@@ -19,10 +19,13 @@ Amplitudes over a grid of N angles are real arrays of shape
 (N, 2, 2, 2, 2): values[n, a, b, c, d] is the element at theta[n] for
 incoming polarization labels (a + 1, b + 1) and outgoing labels
 (c + 1, d + 1), so flattening the last four axes lists the 16 patterns in
-the order 1111, 1112, ..., 2222. One angle is a one-element grid.
+the order of PATTERN_NAMES: 1111, 1112, ..., 2222. One angle is a
+one-element grid.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .lorentz import METRIC, minkowski_dot
 
 __all__ = [
     "POLE_TOLERANCE",
+    "PATTERN_NAMES",
     "PoleError",
     "CHUNK_ANGLES",
     "contracted_vertex",
@@ -41,6 +45,10 @@ __all__ = [
 ]
 
 POLE_TOLERANCE = 1e-10
+
+# The labels (a + 1, b + 1, c + 1, d + 1) of each pattern as a string, in
+# the flattened order of the last four axes.
+PATTERN_NAMES = tuple(map("".join, itertools.product("12", repeat=4)))
 
 # The conventional diagram rule carries an overall minus sign; evaluated as
 # written it reproduces the negative of the reference element table, so the

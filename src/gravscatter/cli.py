@@ -2,8 +2,8 @@
 
 Subcommands cover amplitude tables, gravitational and loop-induced cross
 section scans, coincidence-fringe scans, SI magnitude summaries and the
-verification gate that replays the diagram evaluation against the closed
-forms. All angles are radians. Exit codes: 0 on success, 1 when verification
+verification gate, which gravscatter.verify runs on the command's angle
+grid. All angles are radians. Exit codes: 0 on success, 1 when verification
 fails, 2 on usage errors, a grid that reaches a pole and a --samples too
 large to allocate included, and on output errors (an unwritable --output or
 stdout, or a failed formatting worker), reported on one line of stderr. A
@@ -28,11 +28,10 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import PoleError, channel_amplitudes, closed_form_grid, diagram_sum_grid
+from .amplitudes import PATTERN_NAMES, PoleError, closed_form_grid
 from .coincidence import coincidence_factor
 from .cross_sections import (
     TwoPhotonPolState,
@@ -42,9 +41,10 @@ from .cross_sections import (
     qed_bracket,
     si_convert,
 )
-from .kinematics import check_theta, com_arrays
+from .kinematics import check_theta
+from .verify import build_verify_report
 
-__all__ = ["VerifyReport", "build_verify_report", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 DEFAULT_THETA_MIN = 0.01
 DEFAULT_THETA_MAX = math.pi - 0.01
@@ -54,10 +54,6 @@ VERIFY_THETA_MAX = math.pi - 0.05
 # The "figure3" unit choice rescales reduced values by this plotting divisor.
 _FIGURE_UNITS_DIVISOR = 80.0
 
-_PATTERNS = tuple(itertools.product((1, 2), repeat=4))
-_PATTERN_NAMES = tuple("".join(str(label) for label in pattern) for pattern in _PATTERNS)
-_NONZERO_LABELS = np.array([p for p in _PATTERNS if sum(p) % 2 == 0]) - 1
-_GAUGE_ANGLES = 10
 _CANONICAL_STATES = {"dcs_product": TwoPhotonPolState(0.0, 0.0),
                      "dcs_psi_plus": TwoPhotonPolState.psi_plus(),
                      "dcs_psi_minus": TwoPhotonPolState.psi_minus()}
@@ -235,106 +231,12 @@ def _check_underflow(args, parser, theory: str, values) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verification gate
-
-@dataclass
-class VerifyReport:
-    """Outcome of replaying the diagram evaluation against the closed forms.
-
-    The fields, in order, are the verify command's JSON after "command".
-    """
-
-    passed: bool
-    samples: int
-    theta_min: float
-    theta_max: float
-    tolerance: float
-    gauge_tolerance: float
-    pattern_deviations: dict[str, float]
-    identically_zero: tuple[str, ...]
-    gauge_deviation: float
-
-
-def build_verify_report(theta_min: float = VERIFY_THETA_MIN,
-                        theta_max: float = VERIFY_THETA_MAX,
-                        samples: int = 100,
-                        tolerance: float = 1e-9,
-                        gauge_tolerance: float = 1e-9,
-                        vertex_perturbation: float = 0.0,
-                        seed: int = 20) -> VerifyReport:
-    """Compare the three-diagram sum with the closed forms over a grid.
-
-    Non-vanishing patterns are scored by relative deviation; the eight
-    identically-zero patterns are scored against the largest element at the
-    same angle. A deterministic gauge-shift suite then replaces each photon's
-    polarization by a shifted one, at ten angles and for every non-vanishing
-    pattern, and measures how much the summed amplitude moves. The shift
-    amounts are drawn in (angle, pattern, photon) order. ``vertex_perturbation``
-    is forwarded to the vertex so the gate can demonstrate that it actually
-    catches a broken vertex.
-    """
-    grid = np.linspace(theta_min, theta_max, samples)
-    # Scored in place: a long grid holds three (samples, 16) arrays at most.
-    reference = closed_form_grid(grid).reshape(samples, -1)
-    error = diagram_sum_grid(grid, vertex_perturbation=vertex_perturbation)
-    error = error.reshape(samples, -1)
-    error -= reference
-    np.abs(error, out=error)
-    np.abs(reference, out=reference)
-    scale = reference.max(axis=1, keepdims=True)
-    error /= np.where(reference > 0.0, reference, scale)
-    worst = error.max(axis=0, initial=0.0)
-    deviations = {name: float(dev) for name, dev in zip(_PATTERN_NAMES, worst)}
-    identically_zero = tuple(name for pattern, name in zip(_PATTERNS, _PATTERN_NAMES)
-                             if sum(pattern) % 2 == 1)
-
-    # pols[angle, pattern, 0] holds the physical polarizations; entry j > 0
-    # shifts photon j's by xi * p_j.
-    rng = np.random.default_rng(seed)
-    angles = np.linspace(theta_min, theta_max, _GAUGE_ANGLES)
-    momenta, basis = com_arrays(angles)
-    xi = rng.uniform(-10.0, 10.0, size=(_GAUGE_ANGLES, len(_NONZERO_LABELS), 4))
-    physical = basis[:, np.arange(4), _NONZERO_LABELS]
-    pols = np.repeat(physical[:, :, None], 5, axis=2)
-    for photon in range(4):
-        pols[:, :, photon + 1, photon] += xi[:, :, photon, None] * momenta[:, None, photon]
-    sums = channel_amplitudes(angles[:, None, None], np.moveaxis(pols, -2, 0),
-                              vertex_perturbation=vertex_perturbation).sum(axis=-1)
-    base = sums[:, :, :1]
-    gauge_deviation = float(np.max(np.abs(sums[:, :, 1:] - base) / np.abs(base)))
-    return VerifyReport(
-        passed=bool(np.all(worst <= tolerance) and gauge_deviation <= gauge_tolerance),
-        samples=int(samples), theta_min=float(theta_min), theta_max=float(theta_max),
-        tolerance=float(tolerance), gauge_tolerance=float(gauge_tolerance),
-        pattern_deviations=deviations, identically_zero=identically_zero,
-        gauge_deviation=gauge_deviation)
-
-
-def _verify_text(report: VerifyReport) -> str:
-    lines = ["diagram sum vs closed-form reference"]
-    lines.append(
-        f"grid: {report.samples} angles in [{report.theta_min:.6g}, "
-        f"{report.theta_max:.6g}]; tolerance {report.tolerance:g}, "
-        f"gauge tolerance {report.gauge_tolerance:g}")
-    for name in _PATTERN_NAMES:
-        deviation = report.pattern_deviations[name]
-        status = "PASS" if deviation <= report.tolerance else "FAIL"
-        tag = "  (identically zero)" if name in report.identically_zero else ""
-        lines.append(f"  m_{name}  max deviation {deviation:.2e}  {status}{tag}")
-    gauge_status = "PASS" if report.gauge_deviation <= report.gauge_tolerance else "FAIL"
-    lines.append(
-        f"gauge shifts: max deviation {report.gauge_deviation:.2e}  {gauge_status}")
-    lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # subcommand handlers: each returns (fields, plain), the JSON object after
 # "command" and either the CSV columns or the text that verify and si print
 
 def _run_amp_table(args, parser):
     grid = _theta_grid(args, parser)
-    elements = dict(zip(_PATTERN_NAMES, closed_form_grid(grid).reshape(len(grid), -1).T))
+    elements = dict(zip(PATTERN_NAMES, closed_form_grid(grid).reshape(len(grid), -1).T))
     columns = {"theta": grid, **{f"m_{name}": column for name, column in elements.items()}}
     return {"theta": grid, "elements": elements}, columns
 
@@ -381,7 +283,7 @@ def _run_coincidence_scan(args, parser):
 
 
 def _run_verify(args, parser):
-    _theta_grid(args, parser)
+    grid = _theta_grid(args, parser)
     for option, tolerance in (("--tolerance", args.tolerance),
                               ("--gauge-tolerance", args.gauge_tolerance)):
         if not tolerance >= 0.0:  # NaN included: no deviation would pass it
@@ -390,11 +292,9 @@ def _run_verify(args, parser):
         parser.error("--perturb-vertex must be finite")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
-    report = build_verify_report(
-        theta_min=args.theta_min, theta_max=args.theta_max, samples=args.samples,
-        tolerance=args.tolerance, gauge_tolerance=args.gauge_tolerance,
-        vertex_perturbation=args.perturb_vertex, seed=args.seed)
-    return vars(report), _verify_text(report)
+    return build_verify_report(grid, tolerance=args.tolerance,
+                               gauge_tolerance=args.gauge_tolerance, seed=args.seed,
+                               vertex_perturbation=args.perturb_vertex)
 
 
 def _run_si(args, parser):

@@ -16,9 +16,10 @@ from gravscatter.amplitudes import (
     diagram_sum_grid,
     graviton_coupling,
 )
-from gravscatter.cli import build_verify_report
+from gravscatter.cli import VERIFY_THETA_MAX, VERIFY_THETA_MIN
 from gravscatter.kinematics import com_arrays
 from gravscatter.lorentz import METRIC, minkowski_dot
+from gravscatter.verify import build_verify_report
 from vertex_reference import vertex_tensor_reference
 
 ALL_PATTERNS = tuple(itertools.product((1, 2), repeat=4))
@@ -318,10 +319,12 @@ class TestDiagramSumGrid:
             assert np.max(np.abs(values - single)) <= 1e-12 * scale
 
     def test_perturbed_vertex_fails_the_gate_across_chunks(self):
-        report = build_verify_report(samples=CHUNK_ANGLES + 1, vertex_perturbation=1e-3)
-        assert not report.passed
-        assert report.pattern_deviations["1212"] > report.tolerance
-        assert report.gauge_deviation > report.gauge_tolerance
+        grid = np.linspace(VERIFY_THETA_MIN, VERIFY_THETA_MAX, CHUNK_ANGLES + 1)
+        report, _ = build_verify_report(grid, tolerance=1e-9, gauge_tolerance=1e-9, seed=20,
+                                        vertex_perturbation=1e-3)
+        assert not report["passed"]
+        assert report["pattern_deviations"]["1212"] > report["tolerance"]
+        assert report["gauge_deviation"] > report["gauge_tolerance"]
 
     def test_domain_errors(self):
         pols = _legs(1.0, (1, 1, 1, 1))[1]

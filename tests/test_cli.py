@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -15,9 +16,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gravscatter import cli
-from gravscatter.cli import build_verify_report, main
+from gravscatter.cli import VERIFY_THETA_MAX, VERIFY_THETA_MIN, main
 from gravscatter.cross_sections import si_convert
+from gravscatter.verify import build_verify_report
 
+GATE_GRID = np.linspace(VERIFY_THETA_MIN, VERIFY_THETA_MAX, 5)
 RIGHT_ANGLE_ARGS = ["--theta-min", "0.01", "--theta-max", str(math.pi - 0.01),
                     "--samples", "101"]
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -208,11 +211,11 @@ class TestVerify:
         assert payload["gauge_deviation"] <= 1e-9
 
     def test_report_object(self):
-        report = build_verify_report(samples=5)
-        assert report.passed
-        assert set(report.identically_zero) == {
+        report, _ = build_verify_report(GATE_GRID, tolerance=1e-9, gauge_tolerance=1e-9, seed=20)
+        assert report["passed"]
+        assert set(report["identically_zero"]) == {
             "1112", "1121", "1211", "2111", "1222", "2122", "2212", "2221"}
-        for name, deviation in report.pattern_deviations.items():
+        for name, deviation in report["pattern_deviations"].items():
             assert deviation <= 1e-9, name
 
     @pytest.mark.parametrize("argv, code", [
@@ -226,9 +229,32 @@ class TestVerify:
         assert capsys.readouterr().out.endswith(f"result: {'FAIL' if code else 'PASS'}\n")
 
     def test_tight_tolerance_can_fail(self):
-        report = build_verify_report(samples=5, tolerance=1e-17,
-                                     gauge_tolerance=1e-17)
-        assert not report.passed
+        report, _ = build_verify_report(GATE_GRID, tolerance=1e-17,
+                                        gauge_tolerance=1e-17, seed=20)
+        assert not report["passed"]
+
+    @pytest.mark.parametrize("option", ["tolerance", "gauge_tolerance"])
+    def test_one_pass_rule_at_its_edge(self, option):
+        """A largest deviation equal to its tolerance passes; one ulp less tolerance fails.
+
+        Either way the JSON "passed", the result line and every row's status
+        agree with deviation <= tolerance.
+        """
+        loose = {"tolerance": math.inf, "gauge_tolerance": math.inf, "seed": 20}
+        report, _ = build_verify_report(GATE_GRID, **loose)
+        largest = (max(report["pattern_deviations"].values()) if option == "tolerance"
+                   else report["gauge_deviation"])
+        assert largest > 0.0
+        for tolerance, passed in ((largest, True), (np.nextafter(largest, 0.0), False)):
+            report, text = build_verify_report(GATE_GRID, **{**loose, option: tolerance})
+            rows = [deviation <= report["tolerance"]
+                    for deviation in report["pattern_deviations"].values()]
+            rows.append(report["gauge_deviation"] <= report["gauge_tolerance"])
+            statuses = re.findall(r"max deviation \S+  (PASS|FAIL)", text)
+            assert statuses == ["PASS" if row else "FAIL" for row in rows]
+            assert all(rows) is passed
+            assert report["passed"] is passed
+            assert text.endswith(f"result: {'PASS' if passed else 'FAIL'}\n")
 
 
 class TestSiSummary:

@@ -7,7 +7,7 @@ import pytest
 import gravscatter
 
 MODULES = ["lorentz", "kinematics", "amplitudes", "qed", "cross_sections",
-           "coincidence", "constants", "cli"]
+           "coincidence", "constants", "verify", "cli"]
 
 
 @pytest.mark.parametrize("name", [None] + MODULES)
@@ -18,3 +18,8 @@ def test_all_names_resolve(name):
     for attribute in exported:
         assert hasattr(module, attribute), f"{module.__name__}.{attribute}"
 
+
+def test_verify_is_the_module():
+    """gravscatter.verify is the verify module: no public name of the package shadows it."""
+    assert gravscatter.verify is importlib.import_module("gravscatter.verify")
+    assert "verify" not in gravscatter.__all__
