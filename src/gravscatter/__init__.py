@@ -12,6 +12,23 @@ components on the last axis, and the amplitudes over N angles have shape
 (N, 2, 2, 2, 2), indexed by the four polarization labels minus one.
 """
 
+import os as _os
+import sys as _sys
+
+# numpy's OpenBLAS starts a worker thread per CPU as it loads, and each spins
+# about 0.1 s before it sleeps; no code here calls BLAS on enough data to
+# share it out. OpenBLAS reads OPENBLAS_NUM_THREADS once, at load, so the
+# variable is set only around that first import: this process gets one
+# thread, while os.environ and the environment of any subprocess stay as they
+# were. A variable the user set, or a numpy imported first, is left alone.
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        __import__("numpy")
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+del _os, _sys
+
 from . import amplitudes, coincidence, constants, cross_sections, kinematics, lorentz, qed, verify
 from .lorentz import *
 from .kinematics import *

@@ -162,10 +162,12 @@ def _render(pieces: list, write) -> None:
             read_end, write_end = os.pipe()
             pipes.append(open(read_end, "rb"))
             with open(write_end, "wb") as sink, warnings.catch_warnings():
-                # From Python 3.12 os.fork warns in a process with threads, as
-                # numpy's OpenBLAS makes this one. The child only formats
-                # floats into strings, takes no lock another thread may hold,
-                # and leaves through os._exit.
+                # From Python 3.12 os.fork warns in a process with threads.
+                # Importing gravscatter loads numpy's OpenBLAS with one
+                # thread, so this process has more only when the user set
+                # OPENBLAS_NUM_THREADS or imported numpy first. The child
+                # only formats floats into strings, takes no lock another
+                # thread may hold, and leaves through os._exit.
                 warnings.filterwarnings("ignore", ".* is multi-threaded", DeprecationWarning)
                 pids.append(os.fork())
                 if pids[-1] == 0:
@@ -336,8 +338,36 @@ def _add_output_options(sub, formats=("csv", "json")):
                      help="write to PATH instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number after a long option as its value.
+
+    argparse takes only -N and -N.N for negative numbers, so it reads -1e-3
+    or -inf as an option and leaves --delta-min -1e-3 without a value. Such a
+    token is joined to the option before it as --delta-min=-1e-3, which
+    argparse reads as the same option and value; no option here is a number.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            if (joined and joined[-1].startswith("--") and "=" not in joined[-1]
+                    and "--" not in joined and _is_negative_number(token)):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+
+def _is_negative_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gravscatter",
         description="Graviton-mediated photon-photon scattering cross sections "
                     "for polarization-entangled photon pairs.",

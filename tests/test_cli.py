@@ -386,6 +386,46 @@ class TestUnevaluableInputs:
         assert capsys.readouterr().out.splitlines()[1].startswith("1e-160,-inf,0,")
 
 
+class TestNegativeValues:
+    """A negative float written after its option, as argparse alone would refuse it."""
+
+    @staticmethod
+    def _outcome(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("joined", [
+        "verify --samples 5 --perturb-vertex=-1e-3",
+        "verify --samples 5 --perturb-vertex=-1e-3 --format json",
+        "verify --samples 5 --tolerance=-1e-9",
+        "verify --samples 5 --gauge-tolerance=-1E-9",
+        "verify --samples 5 --theta-min=-1e-3",
+        "coincidence-scan --delta-min=-1e-3 --samples 2",
+        "coincidence-scan --delta-min=-2e0 --delta-max=-1e-3 --samples 3",
+        "coincidence-scan --delta-min=-inf --samples 2",
+        "coincidence-scan --phi=-1e-3 --samples 2",
+        "coincidence-scan --rho=-1e-3 --samples 2 --format json",
+        "dcs-scan --theta-min=1e-3 --theta-max=-1e-3 --samples 2",
+        "dcs-scan --units si --lambda=-5e-7 --samples 2",
+        "qed-scan --lambda=-5e-7 --samples 2",
+        "si --lambda=-5e-7",
+    ])
+    def test_spaced_value_reads_as_joined(self, joined, capsys):
+        spaced = [piece for token in joined.split() for piece in token.split("=")]
+        assert "=" in joined
+        assert self._outcome(spaced, capsys) == self._outcome(joined.split(), capsys)
+
+    def test_negative_perturbation_fails(self, capsys):
+        code, out, _ = self._outcome(["verify", "--samples", "5", "--perturb-vertex", "-1e-3"],
+                                     capsys)
+        assert code == 1
+        assert out.endswith("result: FAIL\n")
+
+
 def test_output_file(tmp_path):
     path = tmp_path / "scan.csv"
     assert main(["dcs-scan", "--samples", "4", "--output", str(path)]) == 0

@@ -143,13 +143,31 @@ def test_stdout_bytes(argv, code, digest):
     assert hashlib.sha256(out).hexdigest() == digest, out.decode()[:2000]
 
 
+def _cli_run(argv: str, **env) -> subprocess.CompletedProcess:
+    """The CLI run as __main__ in a child process, from this checkout's sources."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-m", "gravscatter.cli", *shlex.split(argv)],
+                          capture_output=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src), **env))
+
+
 def test_subprocess_stdout_matches():
     # The in-process capture above stands for the real byte stream.
     argv = "dcs-scan --units si --lambda 1e-06 --samples 7 --format json"
-    src = Path(__file__).resolve().parents[1] / "src"
-    run = subprocess.run([sys.executable, "-m", "gravscatter.cli", *shlex.split(argv)],
-                         capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    run = _cli_run(argv)
+    assert run.returncode == 0
     assert run.stdout == _stdout_of(argv)[1]
+
+
+def test_subprocess_verify_matches():
+    # The one command that runs @ and einsum over a large batch, in a child
+    # that loads OpenBLAS with one thread, as importing gravscatter before
+    # numpy does, and in one with two.
+    argv = "verify --samples 1000 --format json"
+    expected = _stdout_of(argv)[1]
+    for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        run = _cli_run(argv, **env)
+        assert (run.returncode, run.stdout) == (0, expected), env
 
 
 @pytest.mark.parametrize("workers", [0, 3], ids=["in-process", "forked"])
@@ -171,16 +189,24 @@ def test_output_file_matches_stdout(monkeypatch, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-                    reason="formats in one process with fewer than two usable CPUs")
-def test_forked_subprocess_is_silent():
+needs_two_cpus = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="formats in one process with fewer than two usable CPUs")
+
+
+@needs_two_cpus
+def test_forked_subprocess_is_silent(**env):
     # Run as __main__, where Python shows DeprecationWarnings, such as the
     # one os.fork gives from Python 3.12 in a process with threads.
     argv, _, digest = GOLDEN_BY_ARGV[
         "dcs-scan --units si --lambda 7.3e-05 --samples 20000 --format json"]
-    src = Path(__file__).resolve().parents[1] / "src"
-    run = subprocess.run([sys.executable, "-m", "gravscatter.cli", *shlex.split(argv)],
-                         capture_output=True, timeout=60,
-                         env=dict(os.environ, PYTHONPATH=str(src)))
+    run = _cli_run(argv, **env)
     assert (run.returncode, run.stderr) == (0, b"")
     assert hashlib.sha256(run.stdout).hexdigest() == digest
+
+
+@needs_two_cpus
+def test_forked_threaded_subprocess_is_silent():
+    # A user-set thread count gives the child an OpenBLAS worker thread, so
+    # from Python 3.12 only this run meets os.fork's warning.
+    test_forked_subprocess_is_silent(OPENBLAS_NUM_THREADS="2")
