@@ -20,8 +20,10 @@ import sys as _sys
 # share it out. OpenBLAS reads OPENBLAS_NUM_THREADS once, at load, so the
 # variable is set only around that first import: this process gets one
 # thread, while os.environ and the environment of any subprocess stay as they
-# were. A variable the user set, or a numpy imported first, is left alone.
-if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+# were. A thread count the user set in any of the variables OpenBLAS reads,
+# or a numpy imported first, is left alone.
+if "numpy" not in _sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                        "OMP_NUM_THREADS"} & _os.environ.keys():
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         __import__("numpy")

@@ -70,9 +70,8 @@ def _csv_rows(row: str, chunk: np.ndarray) -> str:
 
 
 def _json_values(sep: str, chunk: np.ndarray) -> str:
-    # float.__repr__ is json's float format, except that json spells inf and
-    # nan as Infinity and NaN; no finite float's repr holds either word.
-    return sep.join(map(repr, chunk.tolist())).replace("inf", "Infinity").replace("nan", "NaN")
+    # Without indent, json's C encoder spells the values; [1:-1] drops the brackets.
+    return json.dumps(chunk.tolist(), separators=(sep, ": "))[1:-1]
 
 
 def _csv_pieces(columns: dict[str, np.ndarray]):
@@ -164,8 +163,8 @@ def _render(pieces: list, write) -> None:
             with open(write_end, "wb") as sink, warnings.catch_warnings():
                 # From Python 3.12 os.fork warns in a process with threads.
                 # Importing gravscatter loads numpy's OpenBLAS with one
-                # thread, so this process has more only when the user set
-                # OPENBLAS_NUM_THREADS or imported numpy first. The child
+                # thread, so this process has more only when the user set a
+                # BLAS thread count or imported numpy first. The child
                 # only formats floats into strings, takes no lock another
                 # thread may hold, and leaves through os._exit.
                 warnings.filterwarnings("ignore", ".* is multi-threaded", DeprecationWarning)
@@ -182,14 +181,6 @@ def _render(pieces: list, write) -> None:
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     if any(statuses):
         raise ChildProcessError(f"a formatting worker ended with wait status {max(statuses)}")
-
-
-def _emit(pieces, path: str | None) -> None:
-    """Write an iterable of pieces to ``path``, or to stdout if it is None."""
-    with open(path, "w", encoding="utf-8") if path is not None \
-            else contextlib.nullcontext(sys.stdout) as out:
-        _render(list(pieces), out.write)
-        out.flush()
 
 
 def _theta_grid(args, parser) -> np.ndarray:
@@ -223,13 +214,15 @@ def _check_wavelength(args, parser) -> None:
 
 
 def _check_underflow(args, parser, theory: str, values) -> None:
-    """Stop with a usage error where every SI value the command prints underflows to 0.
+    """Stop with a usage error where every SI value the command prints is 0 or subnormal.
 
     ``values`` holds the SI columns of a scan, or the one value of ``si``; an
-    inf counts as printable.
+    inf counts as printable. A subnormal value has lost significant digits,
+    so it counts as 0.
     """
-    if max(np.max(value) for value in values) == 0.0:
-        parser.error(f"the {theory} cross section at --lambda {args.wavelength:g} underflows to 0")
+    if max(np.max(value) for value in values) < sys.float_info.min:
+        parser.error(f"the {theory} cross section at --lambda {args.wavelength:g} underflows "
+                     "to 0 or below the smallest normal float")
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +239,15 @@ def _run_amp_table(args, parser):
 def _run_dcs_scan(args, parser):
     grid = _theta_grid(args, parser)
     _check_wavelength(args, parser)
-    columns = {name: dcs_entangled_pqg(grid, state)
-               for name, state in _CANONICAL_STATES.items()}
+    columns = {name: dcs_entangled_pqg(grid, state) for name, state in _CANONICAL_STATES.items()}
     columns["dcs_averaged"] = dcs_averaged(grid)
-    for name, column in columns.items():
-        if args.units == "si":
-            columns[name] = si_convert(column, args.wavelength)
-        elif args.units == "figure3":
-            columns[name] = column / _FIGURE_UNITS_DIVISOR
     if args.units == "si":
+        for name, column in columns.items():
+            columns[name] = si_convert(column, args.wavelength)
         _check_underflow(args, parser, "pqg", columns.values())
+    elif args.units == "figure3":
+        for column in columns.values():
+            column /= _FIGURE_UNITS_DIVISOR
     columns = {"theta": grid, **columns}
     return {"units": args.units, "wavelength_m": args.wavelength, **columns}, columns
 
@@ -263,11 +255,12 @@ def _run_dcs_scan(args, parser):
 def _run_qed_scan(args, parser):
     grid = _theta_grid(args, parser)
     _check_wavelength(args, parser)
-    columns = {name: (dcs_entangled_qed(grid, state, args.wavelength)
-                      if args.units == "si" else qed_bracket(grid, state))
-               for name, state in _CANONICAL_STATES.items()}
     if args.units == "si":
+        columns = {name: dcs_entangled_qed(grid, state, args.wavelength)
+                   for name, state in _CANONICAL_STATES.items()}
         _check_underflow(args, parser, "qed", columns.values())
+    else:
+        columns = {name: qed_bracket(grid, state) for name, state in _CANONICAL_STATES.items()}
     columns = {"theta": grid, **columns}
     return {"units": args.units, "wavelength_m": args.wavelength, **columns}, columns
 
@@ -459,7 +452,10 @@ def main(argv=None) -> int:
             pieces = _csv_pieces(plain)
         else:
             pieces = [plain]
-        _emit(pieces, args.output)
+        with open(args.output, "w", encoding="utf-8") if args.output is not None \
+                else contextlib.nullcontext(sys.stdout) as out:
+            _render(list(pieces), out.write)
+            out.flush()
     except PoleError as error:
         parser.error(str(error))
     except MemoryError:

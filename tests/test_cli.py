@@ -284,6 +284,11 @@ class TestSiSummary:
             main(["si", "--lambda", "-1e-7"])
         assert excinfo.value.code == 2
 
+    def test_smallest_normal_values_print(self, capsys):
+        # 2.18e-306 is a normal float, if only just: 1e85 gives a subnormal
+        assert main(["si", "--lambda", "1e84"]) == 0
+        assert "dcs_scale_m2_sr: 2.183683e-306\n" in capsys.readouterr().out
+
 
 class TestUnevaluableInputs:
     """A grid on a pole or an input beyond float range: exit 2, one error line."""
@@ -325,6 +330,16 @@ class TestUnevaluableInputs:
          "pqg cross section at --lambda 1e+100 underflows to 0"),
         (["qed-scan", "--lambda", "1e40", "--samples", "3"],
          "qed cross section at --lambda 1e+40 underflows to 0"),
+        # Subnormal values have lost significant digits, so they count as 0.
+        (["si", "--lambda", "1e90"], "below the smallest normal float"),
+        (["si", "--lambda", "1e85"], "below the smallest normal float"),
+        (["si", "--theory", "qed", "--lambda", "1e35"], "below the smallest normal float"),
+        (["dcs-scan", "--units", "si", "--lambda", "1e90", "--samples", "3"],
+         "pqg cross section at --lambda 1e+90 underflows to 0"),
+        (["qed-scan", "--lambda", "1e35", "--theta-min", "1e-8", "--theta-max", "1.5",
+          "--samples", "3"], "qed cross section at --lambda 1e+35 underflows to 0"),
+        (["qed-scan", "--lambda", "2e35", "--theta-min", "1e-8", "--theta-max", "1.5",
+          "--samples", "3"], "qed cross section at --lambda 2e+35 underflows to 0"),
         # numpy refuses the first count outright; the second would need
         # 711 PiB. Neither allocates anything.
         (["verify", "--samples", "10000000000000000000"], "--samples"),

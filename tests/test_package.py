@@ -72,8 +72,10 @@ def _fresh(code: str, **env) -> tuple[int, str | None]:
 @pytest.mark.parametrize("code, env, expected", [
     ("import gravscatter", {}, (1, None)),
     ("import gravscatter", {"OPENBLAS_NUM_THREADS": "2"}, (2, "2")),
+    ("import gravscatter", {"OMP_NUM_THREADS": "2"}, (2, None)),
+    ("import gravscatter", {"GOTO_NUM_THREADS": "2"}, (2, None)),
     (CLI_VERIFY, {}, (1, None)),
-], ids=["import", "user-set", "cli"])
+], ids=["import", "user-set", "user-set-omp", "user-set-goto", "cli"])
 def test_blas_threads(code, env, expected):
     assert _fresh(code, **env) == expected
 
