@@ -14,8 +14,8 @@ Each subcommand handler returns its result, and main alone writes it in the
 chosen format. A scan's table is named numpy columns, one array per column,
 printed as CSV or JSON by one writer. The writer cuts a table into
 formatting jobs of up to _CHUNK_ROWS rows or array values; a large table's
-jobs run in forked workers, one per usable CPU, and the bytes written do not
-depend on how many there are.
+jobs run in forked workers, one per usable CPU and no more than there are
+jobs, and the bytes written do not depend on how many there are.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .cross_sections import (
     qed_bracket,
     si_convert,
 )
-from .kinematics import check_theta
 from .verify import build_verify_report
 
 __all__ = ["build_parser", "main"]
@@ -147,14 +146,15 @@ def _render(pieces: list, write) -> None:
     """Pass the text of each piece, literal text or a job, to ``write`` in order.
 
     A job is a tuple (format, argument, chunk) whose text is
-    format(argument, chunk). With _workers children, child w of W runs jobs
-    w, w + W, ... and sends each text as a frame down its own pipe, while
-    this process relays the pieces in order, holding about one job's text
-    per child. Without, the jobs run here. The text is the same either way.
+    format(argument, chunk). With W children (_workers' count, capped at the
+    number of jobs), child w runs jobs w, w + W, ... and sends each text
+    as a frame down its own pipe, while this process relays the pieces in
+    order, holding about one job's text per child. Without, the jobs run
+    here. The text is the same either way.
     A child that stops early or exits non-zero raises ChildProcessError.
     """
     jobs = [piece for piece in pieces if not isinstance(piece, str)]
-    workers = _workers(sum(chunk.size for _, _, chunk in jobs))
+    workers = min(len(jobs), _workers(sum(chunk.size for _, _, chunk in jobs)))
     pipes, pids = [], []
     try:
         for w in range(workers):
@@ -184,12 +184,7 @@ def _render(pieces: list, write) -> None:
 
 
 def _theta_grid(args, parser) -> np.ndarray:
-    try:
-        check_theta(np.array([args.theta_min, args.theta_max]))
-        ordered = args.theta_min < args.theta_max
-    except ValueError:
-        ordered = False
-    if not ordered:
+    if not 0.0 < args.theta_min < args.theta_max < math.pi:  # NaN included
         parser.error("need 0 < --theta-min < --theta-max < pi")
     return _grid(args.theta_min, args.theta_max, args.samples, parser)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import closed_form_grid
-from .constants import CODATA_2022, Constants
+from .constants import COMPTON_WAVELENGTH, FINE_STRUCTURE, PLANCK_LENGTH
 from .kinematics import check_theta
 
 __all__ = [
@@ -195,8 +195,7 @@ def qed_bracket(theta, state: TwoPhotonPolState):
                            + (1.0 - weight) * np.float_power(22.0 * c, 2))
 
 
-def dcs_entangled_qed(theta, state: TwoPhotonPolState, wavelength: float,
-                      constants: Constants = CODATA_2022):
+def dcs_entangled_qed(theta, state: TwoPhotonPolState, wavelength: float):
     """Loop-induced cross section in m^2 per steradian for the two-term family.
 
     The SI prefactor is alpha^4 lambda_C^8 / (2 * 45^2 * (2 pi)^2 lambda^6)
@@ -204,15 +203,13 @@ def dcs_entangled_qed(theta, state: TwoPhotonPolState, wavelength: float,
     photon wavelength in meters.
     """
     _check_wavelength(wavelength)
-    alpha = constants.fine_structure
-    compton = constants.compton_wavelength
-    prefactor = (alpha ** 4 / (2.0 * 45.0 ** 2 * (2.0 * math.pi) ** 2)
-                 * compton ** 8 / wavelength ** 6)
+    prefactor = (FINE_STRUCTURE ** 4 / (2.0 * 45.0 ** 2 * (2.0 * math.pi) ** 2)
+                 * COMPTON_WAVELENGTH ** 8 / wavelength ** 6)
     return prefactor * qed_bracket(theta, state)
 
 
-def si_convert(reduced, wavelength: float, constants: Constants = CODATA_2022):
+def si_convert(reduced, wavelength: float):
     """Reduced gravitational value times l_P^4 / lambda^2, in m^2 per steradian."""
     _check_wavelength(wavelength)
-    lp = constants.planck_length
-    return _float_or_array(np.asarray(reduced, dtype=np.float64) * lp ** 4 / wavelength ** 2)
+    return _float_or_array(np.asarray(reduced, dtype=np.float64) * PLANCK_LENGTH ** 4
+                           / wavelength ** 2)

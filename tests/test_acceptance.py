@@ -22,7 +22,7 @@ from gravscatter.cross_sections import (
     si_convert,
 )
 from gravscatter.kinematics import com_arrays
-from gravscatter.constants import CODATA_2022
+from gravscatter.constants import COMPTON_WAVELENGTH, FINE_STRUCTURE
 from gravscatter.qed import qed_element_1212, qed_element_1221
 
 ALL_PATTERNS = tuple(itertools.product((1, 2), repeat=4))
@@ -109,11 +109,10 @@ def test_criterion_5_si_magnitudes():
 
 
 def test_criterion_6_qed_closed_form_matches_element_assembly():
-    constants = CODATA_2022
     wavelength = 500e-9
-    prefactor = (constants.fine_structure ** 4
+    prefactor = (FINE_STRUCTURE ** 4
                  / (2.0 * 45.0 ** 2 * (2.0 * math.pi) ** 2)
-                 * constants.compton_wavelength ** 8 / wavelength ** 6)
+                 * COMPTON_WAVELENGTH ** 8 / wavelength ** 6)
     floor = 1e-12 * prefactor * 2312.0
     worst = 0.0
     states = [TwoPhotonPolState(phi, rho)
@@ -126,12 +125,10 @@ def test_criterion_6_qed_closed_form_matches_element_assembly():
             keep = state.coefficients[0, 1] * f + state.coefficients[1, 0] * g
             swap = state.coefficients[0, 1] * g + state.coefficients[1, 0] * f
             assembled = prefactor * 0.5 * (abs(keep) ** 2 + abs(swap) ** 2)
-            direct = dcs_entangled_qed(float(theta), state, wavelength, constants)
+            direct = dcs_entangled_qed(float(theta), state, wavelength)
             worst = max(worst, abs(direct - assembled) / max(direct, floor))
-    plus_value = dcs_entangled_qed(math.pi / 2, TwoPhotonPolState.psi_plus(),
-                                   wavelength, constants)
-    minus_value = dcs_entangled_qed(math.pi / 2, TwoPhotonPolState.psi_minus(),
-                                    wavelength, constants)
+    plus_value = dcs_entangled_qed(math.pi / 2, TwoPhotonPolState.psi_plus(), wavelength)
+    minus_value = dcs_entangled_qed(math.pi / 2, TwoPhotonPolState.psi_minus(), wavelength)
     suppressed = minus_value <= 1e-12 * plus_value
     ok = worst <= 1e-12 and suppressed
     _verdict(6, "loop closed form equals the two-element assembly at 1e-12",

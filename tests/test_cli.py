@@ -305,6 +305,13 @@ class TestUnevaluableInputs:
         (["qed-scan", "--lambda", "1e-80"], "division by zero"),
         (["dcs-scan", "--units", "si", "--lambda", "1e300"], "out of range"),
         (["coincidence-scan", "--delta-max", "inf"], "finite"),
+        (["dcs-scan", "--theta-min", "nan"], "need 0 < --theta-min < --theta-max < pi"),
+        (["verify", "--theta-max", "nan"], "need 0 < --theta-min < --theta-max < pi"),
+        (["amp-table", "--theta-min", "1", "--theta-max", "1"],
+         "need 0 < --theta-min < --theta-max < pi"),
+        (["qed-scan", "--theta-min", "0"], "need 0 < --theta-min < --theta-max < pi"),
+        (["dcs-scan", "--theta-max", "3.141592653589793"],
+         "need 0 < --theta-min < --theta-max < pi"),
         (["verify", "--seed", "-1"], "--seed must be non-negative"),
         (["verify", "--tolerance", "nan"], "--tolerance must be a non-negative"),
         (["verify", "--tolerance=-1e-9", "--format", "json"], "--tolerance must be"),
@@ -537,6 +544,24 @@ class TestFormattingWorkers:
         assert cli._workers(cli._FORK_MIN_VALUES) == 4
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert cli._workers(10 ** 9) == 0
+
+    def test_no_more_workers_than_jobs(self, monkeypatch, capsys):
+        argv = ["dcs-scan", "--samples", "30"]
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 10)
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(cli, "_workers", lambda values: 8)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == table
+        assert len(forks) == 3  # one per 10-row job
 
     def test_forked_scan_writes_nothing_to_stderr(self, monkeypatch, capfd):
         monkeypatch.setattr(cli, "_workers", lambda values: 2)

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gravscatter.amplitudes import closed_form_grid, diagram_sum_grid
-from gravscatter.constants import CODATA_2022, Constants
+from gravscatter.constants import COMPTON_WAVELENGTH, FINE_STRUCTURE, PLANCK_LENGTH
 from gravscatter.cross_sections import (
     NORMALIZATION_TOL,
     TwoPhotonPolState,
@@ -337,9 +337,9 @@ class TestQedCrossSection:
     def test_matches_element_assembly(self):
         # rebuild the cross section from the two loop elements directly
         wavelength = 500e-9
-        prefactor = (CODATA_2022.fine_structure ** 4
+        prefactor = (FINE_STRUCTURE ** 4
                      / (2.0 * 45.0 ** 2 * (2.0 * math.pi) ** 2)
-                     * CODATA_2022.compton_wavelength ** 8 / wavelength ** 6)
+                     * COMPTON_WAVELENGTH ** 8 / wavelength ** 6)
         for theta in np.linspace(0.0, math.pi, 21):
             for phi, rho in ((0.0, 0.0), (math.pi / 4, 0.0), (math.pi / 4, math.pi),
                              (0.3, 1.2), (math.pi / 8, -0.7)):
@@ -361,9 +361,27 @@ class TestQedCrossSection:
                 dcs_entangled_qed(1.0, TwoPhotonPolState.psi_plus(), wavelength)
 
 
+# Wavelength in m: the bits of si_convert(32.0, wavelength) and of the loop
+# prefactor alpha^4 lambda_C^8 / (2 * 45^2 * (2 pi)^2 wavelength^6), as the
+# CODATA 2022 record gave them before the constants became module floats.
+# From 4e32 m to 8.7e32 m the prefactor is subnormal and keeps fewer digits.
+SI_BITS = {
+    1e-12: ("0x1.582a795ffdf05p-378", "0x1.8722c715af966p-137"),
+    1e-09: ("0x1.68e2558ea5a4bp-398", "0x1.c2f2ed464fa15p-197"),
+    5e-07: ("0x1.7a6a17c05276bp-416", "0x1.03f45103ae8c7p-250"),
+    1.0: ("0x1.a012310237113p-458", "0x1.5989e2a3f3d69p-376"),
+    1e10: ("0x1.330199e77d754p-524", "0x1.15a12bad4c1a4p-575"),
+    1e20: ("0x1.c50faf0aa9a04p-591", "0x1.be222e89694d9p-775"),
+    1e30: ("0x1.4e4cda6de3355p-657", "0x1.667457d3ca380p-974"),
+    4.5e32: ("0x1.b0c3b09903b40p-675", "0x0.0c268f84a0c6fp-1022"),
+    6e32: ("0x1.e6dc26ac242a9p-676", "0x0.02299ceb0add7p-1022"),
+    8.5e32: ("0x1.e52ce254bc66bp-677", "0x0.00447c59eb4eep-1022"),
+}
+
+
 class TestSiConversion:
     def test_planck_length(self):
-        assert_allclose(CODATA_2022.planck_length, 1.616255e-35, rtol=1e-4)
+        assert_allclose(PLANCK_LENGTH, 1.616255e-35, rtol=1e-4)
 
     def test_peak_scale_at_500nm(self):
         assert_allclose(si_convert(32.0, 500e-9), 8.73e-126, rtol=1e-2)
@@ -372,13 +390,39 @@ class TestSiConversion:
         assert math.floor(math.log10(si_convert(32.0, 500e-9))) == -126
         assert math.floor(math.log10(si_convert(32.0, 10e-9))) in (-124, -123, -122)
 
-    def test_unit_constants_give_clean_numbers(self):
-        toy = Constants(newton_constant=1.0, hbar=1.0, c=1.0,
-                        electron_mass=1.0, fine_structure=1.0)
-        assert toy.planck_length == 1.0
-        assert si_convert(5.0, 2.0, toy) == 1.25
+    def test_module_constants_bit_for_bit(self):
+        # Both SI conversions read gravscatter.constants in this operation order.
+        states = (TwoPhotonPolState.psi_plus(), TwoPhotonPolState(0.3, 1.2))
+        for wavelength in (1e-12, 500e-9, 1.0, 1e20):
+            for reduced in (32.0, 0.1, 1e-8):
+                assert (si_convert(reduced, wavelength)
+                        == reduced * PLANCK_LENGTH ** 4 / wavelength ** 2)
+            prefactor = (FINE_STRUCTURE ** 4 / (2.0 * 45.0 ** 2 * (2.0 * math.pi) ** 2)
+                         * COMPTON_WAVELENGTH ** 8 / wavelength ** 6)
+            for theta, state in itertools.product((0.0, 0.3, math.pi / 2, math.pi), states):
+                assert (dcs_entangled_qed(theta, state, wavelength)
+                        == prefactor * qed_bracket(theta, state))
 
     def test_wavelength_validation(self):
         for wavelength in (-1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="wavelength"):
                 si_convert(1.0, wavelength)
+
+    @pytest.mark.parametrize("wavelength", sorted(SI_BITS))
+    def test_si_convert_keeps_its_bits(self, wavelength):
+        expected = float.fromhex(SI_BITS[wavelength][0])
+        scalar = si_convert(32.0, wavelength)
+        assert type(scalar) is float and scalar == expected
+        array = si_convert(np.array([32.0, 32.0]), wavelength)
+        assert isinstance(array, np.ndarray) and (array == expected).all()
+
+    @pytest.mark.parametrize("wavelength", sorted(SI_BITS))
+    def test_qed_prefactor_keeps_its_bits(self, wavelength):
+        prefactor = float.fromhex(SI_BITS[wavelength][1])
+        theta = np.linspace(1e-3, math.pi - 1e-3, 7)
+        for state in (TwoPhotonPolState.psi_plus(), TwoPhotonPolState(0.3, 1.2)):
+            values = dcs_entangled_qed(theta, state, wavelength)
+            assert (values == prefactor * qed_bracket(theta, state)).all()
+            scalar = dcs_entangled_qed(0.3, state, wavelength)
+            assert type(scalar) is float
+            assert scalar == prefactor * qed_bracket(0.3, state)
