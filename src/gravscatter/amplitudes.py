@@ -8,12 +8,13 @@ scattering angle. Three exchange topologies contribute,
     u: photon 1 -> 4 and 2 -> 3,                         q = p1 - p4,
     s: 1 and 2 annihilate, 3 and 4 emerge,               q = p1 + p2.
 
-Crossed legs enter the vertex with their momentum sign flipped; the vertex
-is strictly bilinear in its two momenta, so the flips at the two s-channel
-vertices cancel in the product and the summed amplitude is insensitive to
-that bookkeeping. The closed-form element table is the reference the diagram
-evaluator must land on, entry by entry. The overall sign choice and two
-corrections to commonly printed vertex formulas are recorded in ERRATA.md.
+Crossing puts a flipped momentum on one leg at each s-channel vertex. The
+vertex is strictly bilinear in its two momenta, so each flip negates its
+block exactly and the two negations cancel in the coupling; the s channel
+therefore feeds every vertex the photons' own momenta. The closed-form
+element table is the reference the diagram evaluator must land on, entry by
+entry. The overall sign choice and two corrections to commonly printed
+vertex formulas are recorded in ERRATA.md.
 
 Amplitudes over a grid of N angles are real arrays of shape
 (N, 2, 2, 2, 2): values[n, a, b, c, d] is the element at theta[n] for
@@ -123,14 +124,15 @@ def graviton_coupling(block1, block2) -> np.ndarray:
     return full - 0.5 * trace1 * trace2
 
 
-# Per channel: two vertices, each (photon on the out slot, sign of the
-# momentum fed to it, photon on the in slot, sign of its momentum), photons
-# 0-based; then the exchange momentum q = p1 + sign * p_k as (k, sign).
-# Crossed legs appear with flipped momentum signs.
+# Per channel: two vertices, each (photon on the out slot, photon on the in
+# slot), photons 0-based; then the exchange momentum q = p1 + sign * p_k as
+# (k, sign). The s channel's crossed legs, p2 at one vertex and p4 at the
+# other, need no flipped sign: the two flips negate the two blocks exactly,
+# and graviton_coupling's product of blocks cancels them bit for bit.
 _CHANNELS = (
-    ("t", ((2, 1.0, 0, 1.0), (3, 1.0, 1, 1.0)), (2, -1.0)),
-    ("u", ((3, 1.0, 0, 1.0), (2, 1.0, 1, 1.0)), (3, -1.0)),
-    ("s", ((1, -1.0, 0, 1.0), (2, 1.0, 3, -1.0)), (1, 1.0)),
+    ("t", ((2, 0), (3, 1)), (2, -1.0)),
+    ("u", ((3, 0), (2, 1)), (3, -1.0)),
+    ("s", ((1, 0), (2, 3)), (1, 1.0)),
 )
 
 
@@ -164,10 +166,9 @@ def channel_amplitudes(theta, polarizations, *,
                             f"lies within {POLE_TOLERANCE} of the pole at theta = "
                             f"{np.asarray(theta)[near][0]:.6g}")
         block1, block2 = (
-            contracted_vertex(sign_out * momenta[out], sign_in * momenta[into],
-                              polarizations[out], polarizations[into],
-                              perturbation=vertex_perturbation)
-            for out, sign_out, into, sign_in in vertices)
+            contracted_vertex(momenta[out], momenta[into], polarizations[out],
+                              polarizations[into], perturbation=vertex_perturbation)
+            for out, into in vertices)
         amplitudes.append(_DIAGRAM_SIGN * graviton_coupling(block1, block2) / q2)
     return np.stack(amplitudes, axis=-1)
 

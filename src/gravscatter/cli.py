@@ -274,17 +274,11 @@ def _run_coincidence_scan(args, parser):
 
 def _run_verify(args, parser):
     grid = _theta_grid(args, parser)
-    for option, tolerance in (("--tolerance", args.tolerance),
-                              ("--gauge-tolerance", args.gauge_tolerance)):
-        if not tolerance >= 0.0:  # NaN included: no deviation would pass it
-            parser.error(f"{option} must be a non-negative number")
     if not math.isfinite(args.perturb_vertex):
         parser.error("--perturb-vertex must be finite")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
-    return build_verify_report(grid, tolerance=args.tolerance,
-                               gauge_tolerance=args.gauge_tolerance, seed=args.seed,
-                               vertex_perturbation=args.perturb_vertex)
+    return build_verify_report(grid, seed=args.seed, vertex_perturbation=args.perturb_vertex)
 
 
 def _run_si(args, parser):
@@ -408,10 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify",
                             help="replay the diagram evaluation against the closed forms")
     _add_theta_options(verify, theta_min=VERIFY_THETA_MIN, theta_max=VERIFY_THETA_MAX)
-    verify.add_argument("--tolerance", type=float, default=1e-9,
-                        help="per-element relative tolerance (default %(default)g)")
-    verify.add_argument("--gauge-tolerance", type=float, default=1e-9,
-                        help="gauge-shift relative tolerance (default %(default)g)")
     verify.add_argument("--perturb-vertex", type=float, default=0.0,
                         help="rescale one vertex term by (1+x); a nonzero value "
                              "must make the gate fail")

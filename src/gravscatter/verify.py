@@ -21,9 +21,12 @@ _ZERO_PATTERNS = tuple(name for name in PATTERN_NAMES if name.count("1") % 2)
 _NONZERO_LABELS = np.array([list(map(int, name)) for name in PATTERN_NAMES
                             if name not in _ZERO_PATTERNS]) - 1
 _GAUGE_ANGLES = 10
+# The gate's pass thresholds, relative deviations; each check reads its own.
+_TOLERANCE = 1e-9
+_GAUGE_TOLERANCE = 1e-9
 
 
-def _pattern_check(grid, tolerance, vertex_perturbation):
+def _pattern_check(grid, vertex_perturbation):
     """Each pattern's largest deviation of the diagram sum from the closed form.
 
     Non-vanishing patterns are scored by relative deviation; the eight
@@ -38,13 +41,13 @@ def _pattern_check(grid, tolerance, vertex_perturbation):
     np.abs(reference, out=reference)
     error /= np.where(reference > 0.0, reference, reference.max(axis=1, keepdims=True))
     deviations = dict(zip(PATTERN_NAMES, error.max(axis=0, initial=0.0).tolist()))
-    rows = [(f"  m_{name}  max deviation", deviation, tolerance,
+    rows = [(f"  m_{name}  max deviation", deviation, _TOLERANCE,
              "  (identically zero)" if name in _ZERO_PATTERNS else "")
             for name, deviation in deviations.items()]
     return {"pattern_deviations": deviations, "identically_zero": _ZERO_PATTERNS}, rows
 
 
-def _gauge_check(grid, tolerance, vertex_perturbation, seed):
+def _gauge_check(grid, vertex_perturbation, seed):
     """How far a gauge shift moves the summed amplitude, relative to it.
 
     At ten angles spanning the grid and for every non-vanishing pattern,
@@ -66,28 +69,26 @@ def _gauge_check(grid, tolerance, vertex_perturbation, seed):
     base = sums[:, :, :1]
     deviation = float(np.max(np.abs(sums[:, :, 1:] - base) / np.abs(base)))
     return {"gauge_deviation": deviation}, [("gauge shifts: max deviation", deviation,
-                                             tolerance, "")]
+                                             _GAUGE_TOLERANCE, "")]
 
 
-def build_verify_report(grid, *, tolerance: float, gauge_tolerance: float, seed: int,
-                        vertex_perturbation: float = 0.0) -> tuple[dict, str]:
+def build_verify_report(grid, *, seed: int, vertex_perturbation: float = 0.0) -> tuple[dict, str]:
     """Run the gate on a 1-D array of angles: return its JSON fields and its text.
 
     The fields open with "passed", the grid's size and ends and the two
-    tolerances, then each check's fields in order: the pattern deviations
-    against ``tolerance``, then the gauge shifts, drawn from ``seed``,
-    against ``gauge_tolerance``. ``vertex_perturbation`` is forwarded to the
-    vertex so the gate can demonstrate that it catches a broken vertex.
+    tolerances, then each check's fields in order: the pattern deviations,
+    then the gauge shifts, drawn from ``seed``; each check holds its own
+    tolerance. ``vertex_perturbation`` is forwarded to the vertex so the
+    gate can demonstrate that it catches a broken vertex.
     """
-    tolerance, gauge_tolerance = float(tolerance), float(gauge_tolerance)
     fields = {"passed": True, "samples": len(grid), "theta_min": float(grid[0]),
-              "theta_max": float(grid[-1]), "tolerance": tolerance,
-              "gauge_tolerance": gauge_tolerance}
+              "theta_max": float(grid[-1]), "tolerance": _TOLERANCE,
+              "gauge_tolerance": _GAUGE_TOLERANCE}
     lines = ["diagram sum vs closed-form reference",
              f"grid: {len(grid)} angles in [{grid[0]:.6g}, {grid[-1]:.6g}]; "
-             f"tolerance {tolerance:g}, gauge tolerance {gauge_tolerance:g}"]
-    for check_fields, rows in (_pattern_check(grid, tolerance, vertex_perturbation),
-                               _gauge_check(grid, gauge_tolerance, vertex_perturbation, seed)):
+             f"tolerance {_TOLERANCE:g}, gauge tolerance {_GAUGE_TOLERANCE:g}"]
+    for check_fields, rows in (_pattern_check(grid, vertex_perturbation),
+                               _gauge_check(grid, vertex_perturbation, seed)):
         fields.update(check_fields)
         for label, deviation, limit, note in rows:
             passed = deviation <= limit

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gravscatter import cli
+from gravscatter import cli, verify
 from gravscatter.cli import VERIFY_THETA_MAX, VERIFY_THETA_MIN, main
 from gravscatter.cross_sections import si_convert
 from gravscatter.verify import build_verify_report
@@ -211,7 +211,7 @@ class TestVerify:
         assert payload["gauge_deviation"] <= 1e-9
 
     def test_report_object(self):
-        report, _ = build_verify_report(GATE_GRID, tolerance=1e-9, gauge_tolerance=1e-9, seed=20)
+        report, _ = build_verify_report(GATE_GRID, seed=20)
         assert report["passed"]
         assert set(report["identically_zero"]) == {
             "1112", "1121", "1211", "2111", "1222", "2122", "2212", "2221"}
@@ -220,33 +220,37 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv, code", [
         (["--seed", "0"], 0),
-        (["--tolerance", "inf", "--gauge-tolerance", "inf"], 0),
-        (["--tolerance", "0"], 1),
-        (["--gauge-tolerance", "0"], 1),
+        (["--seed", str(2**64)], 0),  # no upper bound on the seed
+        (["--samples", "2"], 0),
+        (["--perturb-vertex", "-1"], 1),  # a zeroed vertex term fails the gate
     ])
     def test_option_bounds_are_not_usage_errors(self, argv, code, capsys):
         assert main(["verify", "--samples", "5", *argv]) == code
         assert capsys.readouterr().out.endswith(f"result: {'FAIL' if code else 'PASS'}\n")
 
-    def test_tight_tolerance_can_fail(self):
-        report, _ = build_verify_report(GATE_GRID, tolerance=1e-17,
-                                        gauge_tolerance=1e-17, seed=20)
+    def test_tight_tolerance_can_fail(self, monkeypatch):
+        monkeypatch.setattr(verify, "_TOLERANCE", 1e-17)
+        monkeypatch.setattr(verify, "_GAUGE_TOLERANCE", 1e-17)
+        report, _ = build_verify_report(GATE_GRID, seed=20)
         assert not report["passed"]
 
-    @pytest.mark.parametrize("option", ["tolerance", "gauge_tolerance"])
-    def test_one_pass_rule_at_its_edge(self, option):
+    @pytest.mark.parametrize("constant", ["_TOLERANCE", "_GAUGE_TOLERANCE"])
+    def test_one_pass_rule_at_its_edge(self, constant, monkeypatch):
         """A largest deviation equal to its tolerance passes; one ulp less tolerance fails.
 
         Either way the JSON "passed", the result line and every row's status
         agree with deviation <= tolerance.
         """
-        loose = {"tolerance": math.inf, "gauge_tolerance": math.inf, "seed": 20}
-        report, _ = build_verify_report(GATE_GRID, **loose)
-        largest = (max(report["pattern_deviations"].values()) if option == "tolerance"
+        monkeypatch.setattr(verify, "_TOLERANCE", math.inf)
+        monkeypatch.setattr(verify, "_GAUGE_TOLERANCE", math.inf)
+        report, _ = build_verify_report(GATE_GRID, seed=20)
+        largest = (max(report["pattern_deviations"].values()) if constant == "_TOLERANCE"
                    else report["gauge_deviation"])
         assert largest > 0.0
-        for tolerance, passed in ((largest, True), (np.nextafter(largest, 0.0), False)):
-            report, text = build_verify_report(GATE_GRID, **{**loose, option: tolerance})
+        # A Python float: an np.float64 limit would make each row's verdict an np.bool_.
+        for tolerance, passed in ((largest, True), (float(np.nextafter(largest, 0.0)), False)):
+            monkeypatch.setattr(verify, constant, tolerance)
+            report, text = build_verify_report(GATE_GRID, seed=20)
             rows = [deviation <= report["tolerance"]
                     for deviation in report["pattern_deviations"].values()]
             rows.append(report["gauge_deviation"] <= report["gauge_tolerance"])
@@ -255,6 +259,13 @@ class TestVerify:
             assert all(rows) is passed
             assert report["passed"] is passed
             assert text.endswith(f"result: {'PASS' if passed else 'FAIL'}\n")
+
+    @pytest.mark.parametrize("option", ["--tolerance", "--gauge-tolerance"])
+    def test_tolerances_are_not_options(self, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--samples", "5", option, "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSiSummary:
@@ -313,10 +324,9 @@ class TestUnevaluableInputs:
         (["dcs-scan", "--theta-max", "3.141592653589793"],
          "need 0 < --theta-min < --theta-max < pi"),
         (["verify", "--seed", "-1"], "--seed must be non-negative"),
-        (["verify", "--tolerance", "nan"], "--tolerance must be a non-negative"),
-        (["verify", "--tolerance=-1e-9", "--format", "json"], "--tolerance must be"),
-        (["verify", "--gauge-tolerance", "nan"], "--gauge-tolerance must be"),
-        (["verify", "--gauge-tolerance=-1"], "--gauge-tolerance must be"),
+        (["verify", "--seed=-1", "--format", "json"], "--seed must be non-negative"),
+        (["verify", "--samples", "1"], "--samples must be at least 2"),
+        (["verify", "--theta-max", "4"], "need 0 < --theta-min < --theta-max < pi"),
         (["si", "--lambda", "inf"], "--lambda must be finite and positive"),
         (["si", "--lambda=-1e-7"], "--lambda must be finite and positive"),
         (["si", "--lambda", "0"], "--lambda must be finite and positive"),
@@ -423,8 +433,8 @@ class TestNegativeValues:
     @pytest.mark.parametrize("joined", [
         "verify --samples 5 --perturb-vertex=-1e-3",
         "verify --samples 5 --perturb-vertex=-1e-3 --format json",
-        "verify --samples 5 --tolerance=-1e-9",
-        "verify --samples 5 --gauge-tolerance=-1E-9",
+        "verify --samples 5 --theta-max=-1E-9",
+        "verify --samples 5 --seed=-1",
         "verify --samples 5 --theta-min=-1e-3",
         "coincidence-scan --delta-min=-1e-3 --samples 2",
         "coincidence-scan --delta-min=-2e0 --delta-max=-1e-3 --samples 3",
