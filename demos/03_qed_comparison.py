@@ -38,13 +38,24 @@ print("but the box starts some fifty orders of magnitude ahead at optical")
 print("wavelengths, so both remain far beyond direct detection")
 
 print()
-print("polarization dependence distinguishes the two mechanisms:")
-for name, state in (("psi_plus", psi_plus), ("psi_minus", psi_minus)):
-    grav = dcs_entangled_pqg(right, state)
-    qed = dcs_entangled_qed(right, state, 500e-9)
-    print(f"  {name:9s}  graviton (reduced) {grav:8.4f}   qed (m^2/sr) {qed:.3e}")
-print("graviton exchange shuts off completely for the antisymmetric Bell state")
-print("at a right angle; the QED box does not")
+print("polarization dependence, psi_minus against psi_plus: the rate ratio")
+print("psi_minus / psi_plus at a right angle, and the contrast")
+print("(psi_plus - psi_minus) / (psi_plus + psi_minus) at theta = 0.1")
+mechanisms = (("graviton", dcs_entangled_pqg),
+              ("qed", lambda theta, state: dcs_entangled_qed(theta, state, 500e-9)))
+ratio, contrast = {}, {}
+for name, dcs in mechanisms:
+    ratio[name] = dcs(right, psi_minus) / dcs(right, psi_plus)
+    plus, minus = dcs(0.1, psi_plus), dcs(0.1, psi_minus)
+    contrast[name] = (plus - minus) / (plus + minus)
+    print(f"  {name:8s}  ratio at pi/2 {ratio[name]:.1e}   contrast at 0.1 {contrast[name]:.3f}")
+# The text below states what these numbers show; the demo fails if they part ways.
+assert all(value < 1e-20 for value in ratio.values()), ratio
+assert contrast["graviton"] < contrast["qed"], contrast
+print("both mechanisms shut the antisymmetric Bell state off at a right angle,")
+print("down to the rounding of cos(pi/2); they differ at small angles, where")
+print("graviton exchange barely tells the two Bell states apart and the QED")
+print("box still does")
 
 print()
 print("relative phase between the two cross-polarized amplitude branches,")

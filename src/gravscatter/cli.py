@@ -406,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rescale one vertex term by (1+x); a nonzero value "
                              "must make the gate fail")
     verify.add_argument("--seed", type=int, default=20,
-                        help="seed for the gauge-shift draws (default %(default)s)")
+                        help="seed of Python's random module for the gauge-shift "
+                             "draws (default %(default)s)")
     _add_output_options(verify, formats=("text", "json"))
     verify.set_defaults(handler=_run_verify)
 

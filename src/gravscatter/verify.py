@@ -9,6 +9,8 @@ PASS or FAIL and whether the gate passed.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from .amplitudes import PATTERN_NAMES, channel_amplitudes, closed_form_grid, diagram_sum_grid
@@ -52,14 +54,19 @@ def _gauge_check(grid, vertex_perturbation, seed):
 
     At ten angles spanning the grid and for every non-vanishing pattern,
     each photon's polarization in turn is shifted by xi times its momentum,
-    xi drawn from ``seed`` in (angle, pattern, photon) order.
+    xi = -10 + 20 u in [-10, 10), with u drawn by ``random.Random(seed).random()``
+    in (angle, pattern, photon) order.
     """
+    # Python's random, not numpy's generators: loading those costs more time
+    # and memory than the gate's whole sweep, and Python keeps the random()
+    # sequence of a seed the same across versions.
+    draws = random.Random(seed)
+    shape = (_GAUGE_ANGLES, len(_NONZERO_LABELS), 4)
+    xi = -10.0 + 20.0 * np.array([draws.random() for _ in range(np.prod(shape))]).reshape(shape)
     # pols[angle, pattern, 0] holds the physical polarizations; entry j > 0
     # shifts photon j's by xi * p_j.
-    rng = np.random.default_rng(seed)
     angles = np.linspace(grid[0], grid[-1], _GAUGE_ANGLES)
     momenta, basis = com_arrays(angles)
-    xi = rng.uniform(-10.0, 10.0, size=(_GAUGE_ANGLES, len(_NONZERO_LABELS), 4))
     physical = basis[:, np.arange(4), _NONZERO_LABELS]
     pols = np.repeat(physical[:, :, None], 5, axis=2)
     for photon in range(4):
@@ -77,9 +84,9 @@ def build_verify_report(grid, *, seed: int, vertex_perturbation: float = 0.0) ->
 
     The fields open with "passed", the grid's size and ends and the two
     tolerances, then each check's fields in order: the pattern deviations,
-    then the gauge shifts, drawn from ``seed``; each check holds its own
-    tolerance. ``vertex_perturbation`` is forwarded to the vertex so the
-    gate can demonstrate that it catches a broken vertex.
+    then the gauge shifts, whose amounts ``random.Random(seed)`` draws; each
+    check holds its own tolerance. ``vertex_perturbation`` is forwarded to
+    the vertex so the gate can demonstrate that it catches a broken vertex.
     """
     fields = {"passed": True, "samples": len(grid), "theta_min": float(grid[0]),
               "theta_max": float(grid[-1]), "tolerance": _TOLERANCE,

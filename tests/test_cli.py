@@ -218,6 +218,17 @@ class TestVerify:
         for name, deviation in report["pattern_deviations"].items():
             assert deviation <= 1e-9, name
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gauge_sweep_catches_a_small_perturbation(self, seed):
+        # On the default grid a 1e-9 vertex perturbation stays within the
+        # pattern tolerance, so only the gauge row can catch it, on every seed.
+        grid = np.linspace(VERIFY_THETA_MIN, VERIFY_THETA_MAX, 100)
+        assert build_verify_report(grid, seed=seed)[0]["passed"]
+        report, _ = build_verify_report(grid, seed=seed, vertex_perturbation=1e-9)
+        assert report["gauge_deviation"] > report["gauge_tolerance"]
+        assert max(report["pattern_deviations"].values()) <= report["tolerance"]
+        assert not report["passed"]
+
     @pytest.mark.parametrize("argv, code", [
         (["--seed", "0"], 0),
         (["--seed", str(2**64)], 0),  # no upper bound on the seed

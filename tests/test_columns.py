@@ -197,9 +197,18 @@ def test_csv_writer_spans_chunks_in_workers(monkeypatch):
     _assert_csv_spans_chunks(monkeypatch)
 
 
-def _loaded_by_cli_import(modules):
-    """Which of ``modules`` a fresh interpreter holds after importing the CLI."""
-    code = f"import sys, gravscatter.cli; print([m for m in {modules!r} if m in sys.modules])"
+def _loaded_by_cli_import(modules, argv=None):
+    """Which of ``modules`` a fresh interpreter holds after importing the CLI.
+
+    With ``argv``, the child first runs ``gravscatter.cli.main(argv)`` with
+    its stdout sent to devnull, and it must exit 0.
+    """
+    code = "import sys, gravscatter.cli\n"
+    if argv is not None:
+        code += ("import contextlib, os\n"
+                 "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+                 f"    assert gravscatter.cli.main({argv!r}) == 0\n")
+    code += f"print([m for m in {modules!r} if m in sys.modules])"
     src = Path(__file__).resolve().parents[1] / "src"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(src)))
@@ -213,3 +222,9 @@ def test_import_does_not_load_scipy():
 def test_import_does_not_load_process_pools():
     # The table writer forks with os.fork; these would cost start-up time.
     assert _loaded_by_cli_import(["multiprocessing", "concurrent.futures"]) == "[]"
+
+
+def test_verify_does_not_load_numpy_random():
+    # The gauge sweep draws its shifts with Python's random: numpy.random
+    # would cost more time and memory than the whole sweep.
+    assert _loaded_by_cli_import(["numpy.random"], ["verify", "--samples", "5"]) == "[]"
