@@ -31,21 +31,17 @@ import itertools
 import numpy as np
 
 from .kinematics import check_theta, com_arrays
-from .lorentz import METRIC, minkowski_dot
+from .lorentz import _ETA, METRIC, minkowski_dot
 
 __all__ = [
-    "POLE_TOLERANCE",
     "PATTERN_NAMES",
     "PoleError",
-    "CHUNK_ANGLES",
     "contracted_vertex",
     "graviton_coupling",
     "channel_amplitudes",
     "diagram_sum_grid",
     "closed_form_grid",
 ]
-
-POLE_TOLERANCE = 1e-10
 
 # The labels (a + 1, b + 1, c + 1, d + 1) of each pattern as a string, in
 # the flattened order of the last four axes.
@@ -59,9 +55,12 @@ _DIAGRAM_SIGN = 1.0
 # Angles per kernel call in diagram_sum_grid. An angle holds four 4x4 blocks
 # per vertex plus temporaries, a few kB, so a chunk stays well under 1 MB
 # however long the grid is.
-CHUNK_ANGLES = 256
+_CHUNK_ANGLES = 256
 
-_ETA = np.diag(METRIC).copy()
+# channel_amplitudes refuses an angle whose squared exchange momentum lies
+# this close to the massless propagator's pole.
+_POLE_TOLERANCE = 1e-10
+
 _ETA_PAIR = np.outer(_ETA, _ETA)
 
 
@@ -149,8 +148,7 @@ def channel_amplitudes(theta, polarizations, *,
     each photon's label its own axis yields all 16 patterns while each
     vertex block is built once per label pair. Polarizations may be
     arbitrary, e.g. gauge-shifted. Raises PoleError, naming the channel and
-    the angle, where an exchange momentum squared is within POLE_TOLERANCE
-    of zero.
+    the angle, where an exchange momentum squared is within 1e-10 of zero.
     """
     momenta = np.moveaxis(com_arrays(theta)[0], -2, 0)
     polarizations = [np.asarray(v, dtype=np.float64) for v in polarizations]
@@ -160,10 +158,10 @@ def channel_amplitudes(theta, polarizations, *,
     for channel, vertices, (k, sign) in _CHANNELS:
         q = momenta[0] + sign * momenta[k]
         q2 = minkowski_dot(q, q)
-        near = np.abs(q2) < POLE_TOLERANCE
+        near = np.abs(q2) < _POLE_TOLERANCE
         if np.any(near):
             raise PoleError(f"{channel}-channel exchange momentum squared {q2[near][0]:.3e} "
-                            f"lies within {POLE_TOLERANCE} of the pole at theta = "
+                            f"lies within {_POLE_TOLERANCE} of the pole at theta = "
                             f"{np.asarray(theta)[near][0]:.6g}")
         block1, block2 = (
             contracted_vertex(momenta[out], momenta[into], polarizations[out],
@@ -174,7 +172,7 @@ def channel_amplitudes(theta, polarizations, *,
 
 
 def diagram_sum_grid(theta, *, vertex_perturbation: float = 0.0) -> np.ndarray:
-    """Three-channel sums over a 1-D array of angles, CHUNK_ANGLES at a time.
+    """Three-channel sums over a 1-D array of angles, 256 at a time.
 
     Real, shape (N, 2, 2, 2, 2) in the module's layout. Photon k's
     polarization label runs along pattern axis k, so each vertex block is
@@ -182,12 +180,12 @@ def diagram_sum_grid(theta, *, vertex_perturbation: float = 0.0) -> np.ndarray:
     """
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     values = np.empty((theta.size, 2, 2, 2, 2))
-    for start in range(0, theta.size, CHUNK_ANGLES):
-        chunk = theta[start:start + CHUNK_ANGLES]
+    for start in range(0, theta.size, _CHUNK_ANGLES):
+        chunk = theta[start:start + _CHUNK_ANGLES]
         basis = com_arrays(chunk)[1]
         pols = [basis[:, k].reshape((-1,) + tuple(2 if j == k else 1 for j in range(4)) + (4,))
                 for k in range(4)]
-        values[start:start + CHUNK_ANGLES] = channel_amplitudes(
+        values[start:start + _CHUNK_ANGLES] = channel_amplitudes(
             chunk[:, None, None, None, None], pols,
             vertex_perturbation=vertex_perturbation).sum(axis=-1)
     return values

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import closed_form_grid
 from .constants import COMPTON_WAVELENGTH, FINE_STRUCTURE, PLANCK_LENGTH
 from .kinematics import check_theta
 
@@ -39,7 +38,6 @@ __all__ = [
     "dcs_averaged",
     "dcs_entangled_pqg",
     "dcs_general_state",
-    "relative_phase",
     "qed_bracket",
     "dcs_entangled_qed",
     "si_convert",
@@ -157,29 +155,6 @@ def dcs_general_state(coefficients, amplitudes):
         raise ValueError(f"squared coefficients must sum to 1, got {norm!r}")
     outgoing = np.einsum("ij,...ijkl->...kl", coefficients, amplitudes)
     return _float_or_array(0.25 * np.sum(np.abs(outgoing) ** 2, axis=(-2, -1)))
-
-
-def relative_phase(theta: float, element=None) -> float:
-    """Phase difference arg m(theta) - arg m(pi - theta), wrapped to (-pi, pi].
-
-    ``element`` maps an angle to one complex amplitude element and defaults
-    to the gravitational cross-polarized closed form, for which the result is
-    identically zero; the loop-induced elements share that property. Raises
-    if either element is too small to carry a phase.
-    """
-    theta = check_theta(theta)
-    if element is None:
-        element = lambda angle: complex(closed_form_grid([angle])[0, 0, 1, 0, 1])
-    forward = complex(element(theta))
-    backward = complex(element(math.pi - theta))
-    if min(abs(forward), abs(backward)) < 1e-12:
-        raise ValueError("relative phase is undefined where the element vanishes")
-    difference = cmath.phase(forward) - cmath.phase(backward)
-    if difference > math.pi:
-        difference -= 2.0 * math.pi
-    elif difference <= -math.pi:
-        difference += 2.0 * math.pi
-    return difference
 
 
 def qed_bracket(theta, state: TwoPhotonPolState):

@@ -4,8 +4,9 @@ Only the two cross-polarized elements that feed the entangled-state cross
 section are provided. Reduced values are expressed in units of
 4 alpha^2 E^4 / (45 m^4 c^8); with the phase convention used here the
 elements are purely imaginary with negative imaginary part, and they never
-vanish on 0 <= theta <= pi, which is what makes the relative phase of the
-two cross elements well defined everywhere.
+vanish on 0 <= theta <= pi. The 1221 element is defined as the 1212 element
+at pi - theta, so the pair obeys the crossing relation
+m_abcd(theta) = m_abdc(pi - theta) by construction.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gravscatter import amplitudes
 from gravscatter.amplitudes import (
-    CHUNK_ANGLES,
     PoleError,
     channel_amplitudes,
     closed_form_grid,
@@ -220,6 +220,16 @@ class TestExchangeMomenta:
     def test_pole_error_is_value_error(self):
         assert issubclass(PoleError, ValueError)
 
+    @pytest.mark.parametrize("pole, channel", [(0.0, "t"), (math.pi, "u")],
+                             ids=["forward", "backward"])
+    def test_pole_window_is_1e_10_in_q_squared(self, pole, channel):
+        # Near either pole |q^2| = 2 (1 - cos(delta)), about delta^2, so the
+        # window's edge sits at delta = 1e-5 from the pole.
+        outside = abs(pole - 1.01e-5)
+        assert np.all(np.isfinite(diagram_sum_grid([outside])))
+        with pytest.raises(PoleError, match=f"{channel}-channel .* within 1e-10 of the pole"):
+            diagram_sum_grid([abs(pole - 0.99e-5)])
+
     @pytest.mark.parametrize("theta, channel, shown", [
         (1e-6, "t", "1e-06"), (math.pi - 1e-6, "u", "3.14159")])
     def test_grid_pole_error_names_channel_and_angle(self, theta, channel, shown):
@@ -307,8 +317,9 @@ class TestDiagramSum:
 
 
 class TestDiagramSumGrid:
-    @pytest.mark.parametrize("samples", [1, CHUNK_ANGLES - 1, CHUNK_ANGLES,
-                                         CHUNK_ANGLES + 1, 1000])
+    @pytest.mark.parametrize("samples", [1, amplitudes._CHUNK_ANGLES - 1,
+                                         amplitudes._CHUNK_ANGLES,
+                                         amplitudes._CHUNK_ANGLES + 1, 1000])
     def test_matches_one_element_grids(self, samples):
         grid = np.linspace(0.05, math.pi - 0.05, samples)
         batched = diagram_sum_grid(grid)
@@ -319,7 +330,7 @@ class TestDiagramSumGrid:
             assert np.max(np.abs(values - single)) <= 1e-12 * scale
 
     def test_perturbed_vertex_fails_the_gate_across_chunks(self):
-        grid = np.linspace(VERIFY_THETA_MIN, VERIFY_THETA_MAX, CHUNK_ANGLES + 1)
+        grid = np.linspace(VERIFY_THETA_MIN, VERIFY_THETA_MAX, amplitudes._CHUNK_ANGLES + 1)
         report, _ = build_verify_report(grid, seed=20, vertex_perturbation=1e-3)
         assert not report["passed"]
         assert report["pattern_deviations"]["1212"] > report["tolerance"]
@@ -371,13 +382,18 @@ class TestClosedForm:
         for pattern in ZERO_PATTERNS:
             assert values[_index(pattern)] == 0.0
 
-    def test_outgoing_exchange_symmetry(self):
-        # swapping the outgoing photons is the same as looking at pi - theta
-        for theta in np.linspace(0.2, math.pi - 0.2, 17):
-            for xi1, xi2, xi3, xi4 in NONZERO_PATTERNS:
-                direct = self._element((xi1, xi2, xi3, xi4), theta)
-                swapped = self._element((xi1, xi2, xi4, xi3), math.pi - theta)
-                assert_allclose(swapped, direct, rtol=1e-12, atol=1e-12)
+    @pytest.mark.parametrize("evaluate", [closed_form_grid, diagram_sum_grid],
+                             ids=lambda evaluate: evaluate.__name__)
+    def test_outgoing_exchange_symmetry(self, evaluate):
+        # Crossing, m_abcd(theta) = m_abdc(pi - theta), on both evaluators.
+        # Rounding pi - theta alone costs about ulp(pi) / theta near the
+        # poles, hence the margin of 0.05.
+        grid = np.linspace(0.05, math.pi - 0.05, 1001)
+        direct = evaluate(grid)
+        crossed = evaluate(math.pi - grid).swapaxes(-1, -2)
+        axes = (1, 2, 3, 4)
+        deviation = np.max(np.abs(direct - crossed), axis=axes)
+        assert np.all(deviation <= 1e-13 * np.max(np.abs(direct), axis=axes))
 
     def test_domain_errors(self):
         for theta in (0.0, math.pi, -1.0, math.nan):

@@ -19,7 +19,6 @@ from gravscatter.cross_sections import (
     dcs_entangled_qed,
     dcs_general_state,
     qed_bracket,
-    relative_phase,
     si_convert,
 )
 from gravscatter.qed import qed_element_1212, qed_element_1221
@@ -272,37 +271,6 @@ class TestGeneralState:
                 closed = dcs_entangled_pqg(grid, state)
                 general = dcs_general_state(state.coefficients, amplitudes)
                 assert np.all(np.abs(closed - general) <= 1e-12 * np.maximum(closed, 1.0))
-
-
-class TestRelativePhase:
-    def test_gravitational_cross_element_phase_vanishes(self):
-        for theta in np.linspace(0.1, math.pi - 0.1, 25):
-            assert relative_phase(theta) == 0.0
-
-    def test_loop_cross_element_phase_vanishes(self):
-        for theta in np.linspace(0.1, math.pi - 0.1, 25):
-            assert relative_phase(theta, element=qed_element_1212) == 0.0
-
-    def test_sign_change_gives_pi(self):
-        # an element that flips sign across pi/2 must report a half-turn
-        element = lambda angle: complex(math.cos(angle))
-        assert_allclose(relative_phase(0.3, element=element), math.pi, rtol=1e-12)
-
-    def test_wraps_both_ways(self):
-        # phases pi - 0.1 and -(pi - 0.1) on either side of pi/2: the raw
-        # difference +-(2 pi - 0.2) wraps to -+0.2
-        element = lambda angle: cmath.exp(
-            1j * (math.pi - 0.1) * (1 if angle < math.pi / 2 else -1))
-        assert_allclose(relative_phase(0.3, element=element), -0.2, rtol=1e-12)
-        assert_allclose(relative_phase(2.8, element=element), 0.2, rtol=1e-12)
-
-    def test_vanishing_element_rejected(self):
-        with pytest.raises(ValueError):
-            relative_phase(1.0, element=lambda angle: 0.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            relative_phase(0.0)
 
 
 class TestQedCrossSection:

@@ -1,5 +1,6 @@
 """The package's public names, and the BLAS threads that importing it starts."""
 
+import ast
 import importlib
 import json
 import os
@@ -46,6 +47,23 @@ def test_verify_is_the_module():
     """gravscatter.verify is the verify module: no public name of the package shadows it."""
     assert gravscatter.verify is importlib.import_module("gravscatter.verify")
     assert "verify" not in gravscatter.__all__
+
+
+@pytest.mark.parametrize("module, name", [
+    ("cross_sections", "relative_phase"),
+    ("amplitudes", "POLE_TOLERANCE"),
+    ("amplitudes", "CHUNK_ANGLES")])
+def test_retired_names_stay_retired(module, name):
+    """A symmetry is a test, not a function; a tuning constant is private."""
+    assert name not in gravscatter.__all__
+    assert not hasattr(gravscatter, name)
+    assert not hasattr(importlib.import_module(f"gravscatter.{module}"), name)
+
+
+def test_cross_sections_imports_nothing_from_amplitudes():
+    tree = ast.parse((SRC / "gravscatter" / "cross_sections.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "amplitudes" not in imported
 
 
 def test_namespace_binds_no_module_it_imports_for_blas():
