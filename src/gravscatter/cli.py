@@ -60,17 +60,13 @@ _CANONICAL_STATES = {"dcs_product": TwoPhotonPolState(0.0, 0.0),
 # at once, here and in each worker.
 _CHUNK_ROWS = 4096
 # Smaller tables are formatted in this process: a worker costs about 5 ms to
-# fork, feed through a pipe and reap, a value 0.5-2.3 us to format.
+# fork, feed through a pipe and reap, a value 0.3-0.9 us to format as CSV
+# and 0.2-0.6 us as JSON.
 _FORK_MIN_VALUES = 1 << 16
 
 
 def _csv_rows(row: str, chunk: np.ndarray) -> str:
     return row * len(chunk) % tuple(chunk.ravel().tolist())
-
-
-def _json_values(sep: str, chunk: np.ndarray) -> str:
-    # Without indent, json's C encoder spells the values; [1:-1] drops the brackets.
-    return json.dumps(chunk.tolist(), separators=(sep, ": "))[1:-1]
 
 
 def _csv_pieces(columns: dict[str, np.ndarray]):
@@ -85,9 +81,11 @@ def _csv_pieces(columns: dict[str, np.ndarray]):
 def _json_pieces(value, pad: str = "\n"):
     """The text of json.dumps(value, indent=2), as pieces.
 
-    Besides what json takes, a value may be a 1-D float array; every dict
-    and array must be non-empty. An array bypasses json's pure-Python
-    encoder (indent turns the C one off) and becomes jobs of values.
+    Besides what json takes, a value may be a 1-D float64 array; every
+    dict and array must be non-empty. An array bypasses json's pure-Python
+    encoder (indent turns the C one off) and becomes jobs of values, each
+    spelled by gravscatter._json_floats.json_values, a numpy kernel with
+    repr's digits. It is imported here, so that only a JSON table loads it.
     """
     inner = pad + "  "
     if isinstance(value, dict):
@@ -96,9 +94,11 @@ def _json_pieces(value, pad: str = "\n"):
             yield from _json_pieces(item, inner)
         yield pad + "}"
     elif isinstance(value, np.ndarray):
+        from ._json_floats import json_values
+
         for start in range(0, len(value), _CHUNK_ROWS):
             yield ("," if start else "[") + inner
-            yield _json_values, "," + inner, value[start:start + _CHUNK_ROWS]
+            yield json_values, "," + inner, value[start:start + _CHUNK_ROWS]
         yield pad + "]"
     else:
         yield json.dumps(value, indent=2).replace("\n", pad)

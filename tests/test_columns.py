@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from gravscatter.amplitudes import closed_form_grid
 from gravscatter import cli
+from gravscatter._json_floats import json_values
 from gravscatter.cli import _csv_pieces, _json_pieces, _render
 from gravscatter.coincidence import coincidence_factor
 from gravscatter.cross_sections import (
@@ -155,9 +156,34 @@ def test_json_writer_matches_json_dumps(payload):
     assert _json_text(payload) == json.dumps(_plain(payload), indent=2)
 
 
+# Where repr's spelling changes: signed zeros, the subnormal and normal
+# ends, 2^53 and its neighbours, the switch between fixed and scientific
+# notation at 1e16 and below 1e-4, and three-digit exponents.
+EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.225073858507201e-308,
+         2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+         2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 1e-4, 1e-5, 1e-100, 1e100, -1.5e-101,
+         1e-99, 1e99, 1.2345e-300, 9.87e250,
+         *(x for p in (1e15, 1e16, 1e17) for x in (math.nextafter(p, 0.0), p,
+                                                   math.nextafter(p, math.inf)))]
+
+
 def test_json_writer_spells_non_finite_values_like_json():
-    payload = {"x": np.array([math.inf, -math.inf, math.nan, 1e-300, -0.0])}
+    payload = {"x": np.array([math.inf, -math.inf, math.nan, 1e-300, -0.0, *EDGES])}
     assert _json_text(payload) == json.dumps(_plain(payload), indent=2)
+
+
+def test_json_values_equal_json_dumps_on_random_bit_patterns():
+    # Every exponent, NaN payloads, infinities and subnormals, one job at a time.
+    bits = np.random.default_rng(20).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+    for start in range(0, len(bits), 4096):
+        chunk = bits[start:start + 4096].view(np.float64)
+        assert json_values(", ", chunk) == json.dumps(chunk.tolist())[1:-1], start
+
+
+def test_json_values_take_float64_only():
+    # json spells an integer without ".0", so an int array must not pass as floats.
+    with pytest.raises(TypeError, match="float64"):
+        json_values(", ", np.arange(3))
 
 
 @pytest.mark.parametrize("workers", [0, 3], ids=["in-process", "forked"])
@@ -222,6 +248,17 @@ def test_import_does_not_load_scipy():
 def test_import_does_not_load_process_pools():
     # The table writer forks with os.fork; these would cost start-up time.
     assert _loaded_by_cli_import(["multiprocessing", "concurrent.futures"]) == "[]"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, False),
+    (["verify", "--samples", "5", "--format", "json"], False),
+    (["dcs-scan", "--samples", "5"], False),
+    (["dcs-scan", "--samples", "5", "--format", "json"], True),
+], ids=["import", "verify-json", "scan-csv", "scan-json"])
+def test_json_kernel_loads_only_for_json_arrays(argv, loaded):
+    module = "gravscatter._json_floats"
+    assert _loaded_by_cli_import([module], argv) == repr([module] if loaded else [])
 
 
 def test_verify_does_not_load_numpy_random():
