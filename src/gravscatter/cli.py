@@ -15,7 +15,9 @@ chosen format. A scan's table is named numpy columns, one array per column,
 printed as CSV or JSON by one writer. The writer cuts a table into
 formatting jobs of up to _CHUNK_ROWS rows or array values; a large table's
 jobs run in forked workers, one per usable CPU and no more than there are
-jobs, and the bytes written do not depend on how many there are.
+jobs, and the bytes written do not depend on how many there are. A job
+holds views of the columns, not a copy: a CSV job stacks its own rows when
+it runs, so the process holds each column once.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ _CANONICAL_STATES = {"dcs_product": TwoPhotonPolState(0.0, 0.0),
                      "dcs_psi_plus": TwoPhotonPolState.psi_plus(),
                      "dcs_psi_minus": TwoPhotonPolState.psi_minus()}
 # Rows (CSV) or array values (JSON) formatted per job; bounds the text held
-# at once, here and in each worker.
+# at once, here and in each worker, and the values a CSV job stacks.
 _CHUNK_ROWS = 4096
 # Smaller tables are formatted in this process: a worker costs about 5 ms to
 # fork, feed through a pipe and reap, a value 0.3-0.9 us to format as CSV
@@ -65,17 +67,22 @@ _CHUNK_ROWS = 4096
 _FORK_MIN_VALUES = 1 << 16
 
 
-def _csv_rows(row: str, chunk: np.ndarray) -> str:
-    return row * len(chunk) % tuple(chunk.ravel().tolist())
+def _csv_rows(row: str, chunk: tuple[np.ndarray, ...]) -> str:
+    """The text of one job's rows, from its column slices, stacked here as the job runs."""
+    return row * len(chunk[0]) % tuple(np.column_stack(chunk).ravel().tolist())
 
 
 def _csv_pieces(columns: dict[str, np.ndarray]):
-    """A header line, then jobs of rows in one prebuilt %.9g row format."""
+    """A header line, then jobs of rows in one prebuilt %.9g row format.
+
+    A job holds views of its rows in each column: no copy of the table is
+    made, and each job stacks its own rows as it runs.
+    """
     yield ",".join(columns) + "\n"
-    table = np.column_stack(list(columns.values()))
-    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
-    for start in range(0, len(table), _CHUNK_ROWS):
-        yield _csv_rows, row, table[start:start + _CHUNK_ROWS]
+    row = ",".join(["%.9g"] * len(columns)) + "\n"
+    arrays = list(columns.values())
+    for start in range(0, len(arrays[0]), _CHUNK_ROWS):
+        yield _csv_rows, row, tuple(array[start:start + _CHUNK_ROWS] for array in arrays)
 
 
 def _json_pieces(value, pad: str = "\n"):
@@ -111,6 +118,12 @@ def _workers(values: int) -> int:
     """
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return usable if usable > 1 and values >= _FORK_MIN_VALUES else 0
+
+
+def _values(job) -> int:
+    """The numbers a job formats: its chunk is an array or a tuple of column slices."""
+    chunk = job[2]
+    return sum(part.size for part in chunk) if isinstance(chunk, tuple) else chunk.size
 
 
 def _serve(jobs: list, sink, pipes: list) -> None:
@@ -154,7 +167,7 @@ def _render(pieces: list, write) -> None:
     A child that stops early or exits non-zero raises ChildProcessError.
     """
     jobs = [piece for piece in pieces if not isinstance(piece, str)]
-    workers = min(len(jobs), _workers(sum(chunk.size for _, _, chunk in jobs)))
+    workers = min(len(jobs), _workers(sum(map(_values, jobs))))
     pipes, pids = [], []
     try:
         for w in range(workers):

@@ -17,9 +17,13 @@ w = sin(2 phi) cos(rho). The electron loop channel carries its own SI
 prefactor built from the fine-structure constant and the electron Compton
 wavelength, so those values are returned directly in m^2 per steradian.
 
-The angle functions take a float or an array of angles. Powers of a
-per-angle value go through np.float_power, so an array gives, element by
-element, exactly the float each angle gives alone.
+The angle functions take a float or an array of angles; an array of
+another dtype is read as float64. Powers of a per-angle value go through
+np.float_power, so an array gives, element by element, exactly the float
+each angle gives alone. The angle functions and si_convert hold at most two
+arrays the size of their input at once: they update their own temporaries
+in place, in the operation order of their docstring formulas, and never
+write into an array they were given.
 """
 
 from __future__ import annotations
@@ -99,6 +103,19 @@ def _float_or_array(values):
     return values if np.ndim(values) else float(values)
 
 
+def _column(values) -> np.ndarray:
+    """``values`` as a float64 array with at least one axis: a float gives one element.
+
+    A float64 array comes back as the caller's own, so it is only read.
+    """
+    return np.atleast_1d(np.asarray(values, dtype=np.float64))
+
+
+def _like(values, column: np.ndarray):
+    """``column`` where ``values`` is an array, its one element as a Python float otherwise."""
+    return _float_or_array(column if np.ndim(values) else column[0])
+
+
 def _check_wavelength(wavelength) -> None:
     """Raise ValueError unless the wavelength is finite and positive."""
     if not 0.0 < wavelength < math.inf:
@@ -112,9 +129,15 @@ def dcs_averaged(theta):
     the mean of |m|^2 over the 16 elements.
     """
     theta = check_theta(theta)
-    half = 0.5 * theta
-    numerator = 1.0 + np.float_power(np.cos(half), 16) + np.float_power(np.sin(half), 16)
-    return _float_or_array(32.0 * numerator / np.float_power(np.sin(theta), 4))
+    angles = _column(theta)
+    half = np.multiply(0.5, angles)
+    numerator = np.cos(half)
+    np.float_power(numerator, 16, out=numerator)
+    numerator += 1.0
+    numerator += np.float_power(np.sin(half, out=half), 16, out=half)
+    numerator *= 32.0
+    numerator /= np.float_power(np.sin(angles, out=half), 4, out=half)
+    return _like(theta, numerator)
 
 
 def dcs_entangled_pqg(theta, state: TwoPhotonPolState):
@@ -129,10 +152,17 @@ def dcs_entangled_pqg(theta, state: TwoPhotonPolState):
     """
     theta = check_theta(theta)
     weight = state.interference_weight
-    c = np.cos(theta)
-    g = c + np.float_power(c, 3)
-    bracket = 4.0 * (1.0 + weight) + (1.0 - weight) * g * g
-    return _float_or_array(8.0 * bracket / np.float_power(np.sin(theta), 4))
+    angles = _column(theta)
+    c = np.cos(angles)
+    g = np.float_power(c, 3)
+    g += c
+    # bracket = 4 (1 + w) + ((1 - w) g) g, in c's buffer.
+    bracket = np.multiply(1.0 - weight, g, out=c)
+    bracket *= g
+    bracket += 4.0 * (1.0 + weight)
+    bracket *= 8.0
+    bracket /= np.float_power(np.sin(angles, out=g), 4, out=g)
+    return _like(theta, bracket)
 
 
 def dcs_general_state(coefficients, amplitudes):
@@ -165,9 +195,18 @@ def qed_bracket(theta, state: TwoPhotonPolState):
     have no pole.
     """
     weight = state.interference_weight
-    c = np.cos(theta)
-    return _float_or_array((1.0 + weight) * np.float_power(31.0 + 3.0 * c * c, 2)
-                           + (1.0 - weight) * np.float_power(22.0 * c, 2))
+    c = np.cos(_column(theta))
+    # (31 + (3 c) c)^2 (1 + w), then (22 c)^2 (1 - w) in c's buffer.
+    bracket = np.multiply(3.0, c)
+    bracket *= c
+    bracket += 31.0
+    np.float_power(bracket, 2, out=bracket)
+    bracket *= 1.0 + weight
+    c *= 22.0
+    np.float_power(c, 2, out=c)
+    c *= 1.0 - weight
+    bracket += c
+    return _like(theta, bracket)
 
 
 def dcs_entangled_qed(theta, state: TwoPhotonPolState, wavelength: float):
@@ -180,11 +219,15 @@ def dcs_entangled_qed(theta, state: TwoPhotonPolState, wavelength: float):
     _check_wavelength(wavelength)
     prefactor = (FINE_STRUCTURE ** 4 / (2.0 * 45.0 ** 2 * (2.0 * math.pi) ** 2)
                  * COMPTON_WAVELENGTH ** 8 / wavelength ** 6)
-    return prefactor * qed_bracket(theta, state)
+    # The bracket is a new array, or a float that becomes one.
+    dcs = _column(qed_bracket(theta, state))
+    dcs *= prefactor
+    return _like(theta, dcs)
 
 
 def si_convert(reduced, wavelength: float):
     """Reduced gravitational value times l_P^4 / lambda^2, in m^2 per steradian."""
     _check_wavelength(wavelength)
-    return _float_or_array(np.asarray(reduced, dtype=np.float64) * PLANCK_LENGTH ** 4
-                           / wavelength ** 2)
+    si = np.multiply(_column(reduced), PLANCK_LENGTH ** 4)
+    si /= wavelength ** 2
+    return _like(reduced, si)

@@ -601,7 +601,7 @@ class TestFormattingWorkers:
         failing_start = float(table.splitlines()[51].split(",")[0])
 
         def failing(row, chunk):
-            if float("%.9g" % chunk[0, 0]) == failing_start:
+            if float("%.9g" % chunk[0][0]) == failing_start:
                 raise RuntimeError("job failed")
             return real(row, chunk)
 

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from gravscatter import cli
 from gravscatter._json_floats import json_values
 from gravscatter.cli import _csv_pieces, _json_pieces, _render
 from gravscatter.coincidence import coincidence_factor
+from gravscatter.constants import COMPTON_WAVELENGTH, FINE_STRUCTURE, PLANCK_LENGTH
 from gravscatter.cross_sections import (
     TwoPhotonPolState,
     dcs_averaged,
@@ -81,6 +83,75 @@ FUNCTIONS = dict(_functions())
 def test_dense_grid_matches_scalar_calls(name):
     function = FUNCTIONS[name]
     _assert_elementwise_equal(function, DENSE)
+
+
+# Each column function beside its docstring formula evaluated out of place,
+# one operation at a time in the same order: in IEEE arithmetic * and +
+# commute exactly, but (1 - w) g g is ((1 - w) g) g.
+def _averaged(t):
+    half = 0.5 * t
+    return (32.0 * (1.0 + np.float_power(np.cos(half), 16) + np.float_power(np.sin(half), 16))
+            / np.float_power(np.sin(t), 4))
+
+
+def _pqg(t, w):
+    g = np.cos(t) + np.float_power(np.cos(t), 3)
+    return 8.0 * (4.0 * (1.0 + w) + (1.0 - w) * g * g) / np.float_power(np.sin(t), 4)
+
+
+def _bracket(t, w):
+    c = np.cos(t)
+    return (1.0 + w) * np.float_power(31.0 + 3.0 * c * c, 2) + (1.0 - w) * np.float_power(22.0 * c, 2)
+
+
+def _qed_prefactor(wavelength):
+    return (FINE_STRUCTURE ** 4 / (2.0 * 45.0 ** 2 * (2.0 * math.pi) ** 2)
+            * COMPTON_WAVELENGTH ** 8 / wavelength ** 6)
+
+
+def _references(wavelength=5e-7):
+    """(name, function, reference) for each function that updates its columns in place."""
+    yield "dcs_averaged", dcs_averaged, _averaged
+    for k, state in enumerate(STATES):
+        w = state.interference_weight
+        yield (f"dcs_entangled_pqg[{k}]", lambda t, s=state: dcs_entangled_pqg(t, s),
+               lambda t, w=w: _pqg(t, w))
+        yield (f"qed_bracket[{k}]", lambda t, s=state: qed_bracket(t, s),
+               lambda t, w=w: _bracket(t, w))
+        yield (f"dcs_entangled_qed[{k}]", lambda t, s=state: dcs_entangled_qed(t, s, wavelength),
+               lambda t, w=w: _qed_prefactor(wavelength) * _bracket(t, w))
+    yield ("si_convert", lambda x: si_convert(x, wavelength),
+           lambda x: x * PLANCK_LENGTH ** 4 / wavelength ** 2)
+
+
+REFERENCES = {name: (function, reference) for name, function, reference in _references()}
+
+
+@pytest.mark.parametrize("name", REFERENCES)
+def test_columns_keep_the_bits_of_their_formula(name):
+    function, reference = REFERENCES[name]
+    angles = DENSE.copy()
+    column = function(angles)
+    assert np.array_equal(angles, DENSE)
+    assert not np.shares_memory(column, angles)
+    assert column.dtype == np.float64 and column.shape == angles.shape
+    assert np.array_equal(column, reference(DENSE))
+    for angle in (1e-7, 0.3, math.pi / 2, 2.9):
+        scalar = function(angle)
+        assert type(scalar) is float
+        assert scalar == reference(angle), angle
+
+
+# Part of the contract, not of the formula: an array of another dtype is
+# read as float64 first, so a float32 array gives its float64 copy's values
+# rather than values from sin and cos taken in float32.
+@pytest.mark.parametrize("name", REFERENCES)
+def test_columns_read_other_dtypes_as_float64(name):
+    function, _ = REFERENCES[name]
+    for angles in (DENSE.astype(np.float32), np.arange(1, 4)):
+        column = function(angles)
+        assert column.dtype == np.float64
+        assert np.array_equal(column, function(angles.astype(np.float64)))
 
 
 @given(angles=angle_arrays, wavelength=wavelengths)
@@ -173,10 +244,18 @@ def test_json_writer_spells_non_finite_values_like_json():
 
 
 def test_json_values_equal_json_dumps_on_random_bit_patterns():
-    # Every exponent, NaN payloads, infinities and subnormals, one job at a time.
+    # Every exponent, NaN payloads, infinities and subnormals, then round
+    # values, which have the most digits to remove: the integers to 2^16 and
+    # k 10^j, each with its two float neighbours. One job at a time.
     bits = np.random.default_rng(20).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
-    for start in range(0, len(bits), 4096):
-        chunk = bits[start:start + 4096].view(np.float64)
+    round_values = np.concatenate([
+        np.arange(2.0 ** 16 + 1),
+        [float(f"{k}e{j}") for k in range(1, 100) for j in range(-20, 21)]])
+    values = np.concatenate([bits.view(np.float64), round_values,
+                             np.nextafter(round_values, -math.inf),
+                             np.nextafter(round_values, math.inf)])
+    for start in range(0, len(values), 4096):
+        chunk = values[start:start + 4096]
         assert json_values(", ", chunk) == json.dumps(chunk.tolist())[1:-1], start
 
 
@@ -221,6 +300,29 @@ def test_csv_writer_spans_chunks(monkeypatch):
 def test_csv_writer_spans_chunks_in_workers(monkeypatch):
     monkeypatch.setattr(cli, "_workers", lambda values: 3)
     _assert_csv_spans_chunks(monkeypatch)
+
+
+# tracemalloc sees numpy's buffers. A scan of N rows holds its grid and
+# columns once, one new SI column beside the reduced one it replaces, two
+# temporaries while a column is computed and one job's text: about 1.4
+# N-float arrays for a CSV job of 4096 rows at N = 100k. A bound is counted
+# in arrays of N floats.
+@pytest.mark.parametrize("argv, arrays", [
+    (["dcs-scan", "--units", "si", "--lambda", "5e-7", "--format", "csv"], 8),
+    (["dcs-scan", "--units", "si", "--lambda", "5e-7", "--format", "json"], 8),
+    (["qed-scan", "--lambda", "5e-7", "--format", "csv"], 6),
+    (["qed-scan", "--lambda", "5e-7", "--format", "json"], 6),
+], ids=["dcs-csv", "dcs-json", "qed-csv", "qed-json"])
+def test_scans_hold_each_column_once(monkeypatch, argv, arrays):
+    rows = 100_000
+    monkeypatch.setattr(cli, "_workers", lambda values: 0)
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "--samples", str(rows), "--output", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays * 8 * rows, peak / (8 * rows)
 
 
 def _loaded_by_cli_import(modules, argv=None):
