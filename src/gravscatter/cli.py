@@ -13,11 +13,12 @@ the status of a program stopped by SIGPIPE.
 Each subcommand handler returns its result, and main alone writes it in the
 chosen format. A scan's table is named numpy columns, one array per column,
 printed as CSV or JSON by one writer. The writer cuts a table into
-formatting jobs of up to _CHUNK_ROWS rows or array values; a large table's
-jobs run in forked workers, one per usable CPU and no more than there are
-jobs, and the bytes written do not depend on how many there are. A job
-holds views of the columns, not a copy: a CSV job stacks its own rows when
-it runs, so the process holds each column once.
+formatting jobs of up to _CHUNK_VALUES values: whole rows for CSV, array
+values for JSON. A table of _FORK_MIN_JOBS jobs or more runs them in forked
+workers, one per usable CPU and no more than there are jobs, and the bytes
+written do not depend on how many there are. A job holds views of the
+columns, not a copy: a CSV job stacks its own rows when it runs, so the
+process holds each column once.
 """
 
 from __future__ import annotations
@@ -58,13 +59,15 @@ _FIGURE_UNITS_DIVISOR = 80.0
 _CANONICAL_STATES = {"dcs_product": TwoPhotonPolState(0.0, 0.0),
                      "dcs_psi_plus": TwoPhotonPolState.psi_plus(),
                      "dcs_psi_minus": TwoPhotonPolState.psi_minus()}
-# Rows (CSV) or array values (JSON) formatted per job; bounds the text held
-# at once, here and in each worker, and the values a CSV job stacks.
-_CHUNK_ROWS = 4096
-# Smaller tables are formatted in this process: a worker costs about 5 ms to
-# fork, feed through a pipe and reap, a value 0.3-0.9 us to format as CSV
-# and 0.2-0.6 us as JSON.
-_FORK_MIN_VALUES = 1 << 16
+# Values formatted per job, as whole CSV rows or JSON array values; bounds
+# the text held at once, here and in each worker, and the values a CSV job
+# stacks.
+_CHUNK_VALUES = 4096
+# Tables of fewer jobs are formatted in this process: a worker costs about
+# 5 ms to fork, feed through a pipe and reap, a value 0.3-0.9 us to format
+# as CSV and 0.2-0.6 us as JSON. A JSON array is at least one job, so this
+# exceeds amp-table's 17 columns: every table forks from about 2^16 values.
+_FORK_MIN_JOBS = 18
 
 
 def _csv_rows(row: str, chunk: tuple[np.ndarray, ...]) -> str:
@@ -81,8 +84,9 @@ def _csv_pieces(columns: dict[str, np.ndarray]):
     yield ",".join(columns) + "\n"
     row = ",".join(["%.9g"] * len(columns)) + "\n"
     arrays = list(columns.values())
-    for start in range(0, len(arrays[0]), _CHUNK_ROWS):
-        yield _csv_rows, row, tuple(array[start:start + _CHUNK_ROWS] for array in arrays)
+    rows = max(1, _CHUNK_VALUES // len(arrays))
+    for start in range(0, len(arrays[0]), rows):
+        yield _csv_rows, row, tuple(array[start:start + rows] for array in arrays)
 
 
 def _json_pieces(value, pad: str = "\n"):
@@ -103,27 +107,21 @@ def _json_pieces(value, pad: str = "\n"):
     elif isinstance(value, np.ndarray):
         from ._json_floats import json_values
 
-        for start in range(0, len(value), _CHUNK_ROWS):
+        for start in range(0, len(value), _CHUNK_VALUES):
             yield ("," if start else "[") + inner
-            yield json_values, "," + inner, value[start:start + _CHUNK_ROWS]
+            yield json_values, "," + inner, value[start:start + _CHUNK_VALUES]
         yield pad + "]"
     else:
         yield json.dumps(value, indent=2).replace("\n", pad)
 
 
-def _workers(values: int) -> int:
-    """Children to format a table of ``values`` numbers: one per usable CPU, or none.
+def _workers(jobs: int) -> int:
+    """Children to format a table of ``jobs`` jobs: one per usable CPU, or none.
 
     Where os.sched_getaffinity exists, so does os.fork.
     """
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return usable if usable > 1 and values >= _FORK_MIN_VALUES else 0
-
-
-def _values(job) -> int:
-    """The numbers a job formats: its chunk is an array or a tuple of column slices."""
-    chunk = job[2]
-    return sum(part.size for part in chunk) if isinstance(chunk, tuple) else chunk.size
+    return usable if usable > 1 and jobs >= _FORK_MIN_JOBS else 0
 
 
 def _serve(jobs: list, sink, pipes: list) -> None:
@@ -167,7 +165,7 @@ def _render(pieces: list, write) -> None:
     A child that stops early or exits non-zero raises ChildProcessError.
     """
     jobs = [piece for piece in pieces if not isinstance(piece, str)]
-    workers = min(len(jobs), _workers(sum(map(_values, jobs))))
+    workers = min(len(jobs), _workers(len(jobs)))
     pipes, pids = [], []
     try:
         for w in range(workers):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .cross_sections import TwoPhotonPolState, _check_wavelength, _float_or_array
+from .cross_sections import TwoPhotonPolState, _check_wavelength, _column, _like
 
 __all__ = [
     "coincidence_factor",
@@ -28,10 +28,16 @@ def coincidence_factor(phase, state: TwoPhotonPolState):
     Every phase must be finite; otherwise ValueError, naming the first
     non-finite phase.
     """
-    outside = np.asarray(phase)[~np.isfinite(phase)]
+    phases = _column(phase)
+    outside = phases[~np.isfinite(phases)]
     if outside.size:
         raise ValueError(f"phase must be finite, got {float(outside[0])}")
-    return _float_or_array(1.0 + math.sin(2.0 * state.phi) * np.cos(phase + state.rho))
+    # One buffer, in the formula's order of operations, so each value keeps its bits.
+    factor = np.add(phases, state.rho)
+    np.cos(factor, out=factor)
+    factor *= math.sin(2.0 * state.phi)
+    factor += 1.0
+    return _like(phase, factor)
 
 
 def separation_to_phase(distance: float, wavelength: float) -> float:

@@ -561,14 +561,21 @@ class TestOutputErrors:
 class TestFormattingWorkers:
     def test_one_worker_per_usable_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        assert cli._workers(cli._FORK_MIN_VALUES - 1) == 0
-        assert cli._workers(cli._FORK_MIN_VALUES) == 4
+        assert cli._workers(cli._FORK_MIN_JOBS - 1) == 0
+        assert cli._workers(cli._FORK_MIN_JOBS) == 4
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert cli._workers(10 ** 9) == 0
 
+    def test_one_job_per_column_stays_in_process(self, monkeypatch):
+        # amp-table's JSON arrays are 17 jobs at any row count up to 4096.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
+        assert main(["amp-table", "--samples", "4096", "--format", "json",
+                     "--output", os.devnull]) == 0
+
     def test_no_more_workers_than_jobs(self, monkeypatch, capsys):
         argv = ["dcs-scan", "--samples", "30"]
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", 10)
+        monkeypatch.setattr(cli, "_CHUNK_VALUES", 50)  # 10 rows of 5 columns
         assert main(argv) == 0
         table = capsys.readouterr().out
         forks = []
@@ -579,13 +586,13 @@ class TestFormattingWorkers:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", counting_fork)
-        monkeypatch.setattr(cli, "_workers", lambda values: 8)
+        monkeypatch.setattr(cli, "_workers", lambda jobs: 8)
         assert main(argv) == 0
         assert capsys.readouterr().out == table
         assert len(forks) == 3  # one per 10-row job
 
     def test_forked_scan_writes_nothing_to_stderr(self, monkeypatch, capfd):
-        monkeypatch.setattr(cli, "_workers", lambda values: 2)
+        monkeypatch.setattr(cli, "_workers", lambda jobs: 2)
         assert main(["dcs-scan", "--samples", "100", "--format", "json"]) == 0
         out, err = capfd.readouterr()
         assert err == ""
@@ -606,8 +613,8 @@ class TestFormattingWorkers:
             return real(row, chunk)
 
         monkeypatch.setattr(cli, "_csv_rows", failing)
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", 10)
-        monkeypatch.setattr(cli, "_workers", lambda values: 2)
+        monkeypatch.setattr(cli, "_CHUNK_VALUES", 50)
+        monkeypatch.setattr(cli, "_workers", lambda jobs: 2)
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -625,8 +632,8 @@ class TestFormattingWorkers:
         # Each worker sends every frame, then exits 3 instead of 0.
         real_exit = os._exit
         monkeypatch.setattr(os, "_exit", lambda code: real_exit(3 if code == 0 else code))
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", 10)
-        monkeypatch.setattr(cli, "_workers", lambda values: 2)
+        monkeypatch.setattr(cli, "_CHUNK_VALUES", 50)
+        monkeypatch.setattr(cli, "_workers", lambda jobs: 2)
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

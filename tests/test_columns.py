@@ -122,6 +122,9 @@ def _references(wavelength=5e-7):
                lambda t, w=w: _qed_prefactor(wavelength) * _bracket(t, w))
     yield ("si_convert", lambda x: si_convert(x, wavelength),
            lambda x: x * PLANCK_LENGTH ** 4 / wavelength ** 2)
+    for k, state in enumerate(STATES):
+        yield (f"coincidence_factor[{k}]", lambda d, s=state: coincidence_factor(d, s),
+               lambda d, s=state: 1.0 + math.sin(2.0 * s.phi) * np.cos(d + s.rho))
 
 
 REFERENCES = {name: (function, reference) for name, function, reference in _references()}
@@ -140,6 +143,15 @@ def test_columns_keep_the_bits_of_their_formula(name):
         scalar = function(angle)
         assert type(scalar) is float
         assert scalar == reference(angle), angle
+
+
+def test_coincidence_factor_keeps_its_bits_off_the_angle_range():
+    phases = np.linspace(-50.0, 50.0, 20001)
+    for k in range(len(STATES)):
+        function, reference = REFERENCES[f"coincidence_factor[{k}]"]
+        assert np.array_equal(function(phases), reference(phases))
+        for phase in (-50.0, -1e-300, 0.0, 7.5, 1e15):
+            assert function(phase) == reference(phase), phase
 
 
 # Part of the contract, not of the formula: an array of another dtype is
@@ -268,8 +280,8 @@ def test_json_values_take_float64_only():
 @pytest.mark.parametrize("workers", [0, 3], ids=["in-process", "forked"])
 def test_json_writer_spans_chunks(monkeypatch, workers):
     # Non-finite values in the first, a middle and the last chunk of 3.
-    monkeypatch.setattr(cli, "_workers", lambda values: workers)
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(cli, "_workers", lambda jobs: workers)
+    monkeypatch.setattr(cli, "_CHUNK_VALUES", 3)
     column = np.arange(11.0) / 7.0
     column[[0, 4, 10]] = [math.inf, math.nan, -math.inf]
     payload = {"a": column, "b": {"c": column[:6], "d": 1.5}}
@@ -286,7 +298,7 @@ def test_csv_writer_matches_row_formatting(table):
 
 
 def _assert_csv_spans_chunks(monkeypatch):
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(cli, "_CHUNK_VALUES", 6)  # 3 rows of 2 columns
     columns = {"t": np.arange(10.0), "v": np.arange(10.0) / 3.0}
     lines = _rendered(_csv_pieces(columns)).splitlines()
     assert lines[0] == "t,v"
@@ -298,24 +310,37 @@ def test_csv_writer_spans_chunks(monkeypatch):
 
 
 def test_csv_writer_spans_chunks_in_workers(monkeypatch):
-    monkeypatch.setattr(cli, "_workers", lambda values: 3)
+    monkeypatch.setattr(cli, "_workers", lambda jobs: 3)
     _assert_csv_spans_chunks(monkeypatch)
+
+
+def test_csv_jobs_hold_at_most_chunk_values():
+    # amp-table's 17 columns: 240 whole rows a job, not 4096.
+    columns = {f"c{k}": np.arange(10_000.0) for k in range(17)}
+    jobs = [piece[2] for piece in _csv_pieces(columns) if not isinstance(piece, str)]
+    sizes = [sum(part.size for part in chunk) for chunk in jobs]
+    assert max(sizes) == 17 * (cli._CHUNK_VALUES // 17) <= cli._CHUNK_VALUES
+    assert sum(sizes) == 17 * 10_000
 
 
 # tracemalloc sees numpy's buffers. A scan of N rows holds its grid and
 # columns once, one new SI column beside the reduced one it replaces, two
-# temporaries while a column is computed and one job's text: about 1.4
-# N-float arrays for a CSV job of 4096 rows at N = 100k. A bound is counted
-# in arrays of N floats.
-@pytest.mark.parametrize("argv, arrays", [
-    (["dcs-scan", "--units", "si", "--lambda", "5e-7", "--format", "csv"], 8),
-    (["dcs-scan", "--units", "si", "--lambda", "5e-7", "--format", "json"], 8),
-    (["qed-scan", "--lambda", "5e-7", "--format", "csv"], 6),
-    (["qed-scan", "--lambda", "5e-7", "--format", "json"], 6),
-], ids=["dcs-csv", "dcs-json", "qed-csv", "qed-json"])
-def test_scans_hold_each_column_once(monkeypatch, argv, arrays):
-    rows = 100_000
-    monkeypatch.setattr(cli, "_workers", lambda values: 0)
+# temporaries while a column is computed and one job's text. A bound is
+# counted in arrays of N floats. A CSV job holds its 4096 values as Python
+# floats and text, whatever the table's width: 17 columns of 4096 rows would
+# add about 15 arrays at N = 20k (amp-table peaked at 38.1 with them, 23.4
+# without), and an out-of-place coincidence factor 0.7 at N = 100k (3.28,
+# against 2.58 in one buffer).
+@pytest.mark.parametrize("argv, rows, arrays", [
+    (["dcs-scan", "--units", "si", "--lambda", "5e-7", "--format", "csv"], 100_000, 8),
+    (["dcs-scan", "--units", "si", "--lambda", "5e-7", "--format", "json"], 100_000, 8),
+    (["qed-scan", "--lambda", "5e-7", "--format", "csv"], 100_000, 6),
+    (["qed-scan", "--lambda", "5e-7", "--format", "json"], 100_000, 6),
+    (["amp-table", "--format", "csv"], 20_000, 28),
+    (["coincidence-scan", "--format", "csv"], 100_000, 3),
+], ids=["dcs-csv", "dcs-json", "qed-csv", "qed-json", "amp-csv", "coincidence-csv"])
+def test_scans_hold_each_column_once(monkeypatch, argv, rows, arrays):
+    monkeypatch.setattr(cli, "_workers", lambda jobs: 0)
     tracemalloc.start()
     try:
         assert cli.main([*argv, "--samples", str(rows), "--output", os.devnull]) == 0

@@ -184,7 +184,7 @@ def test_subprocess_verify_matches():
 def test_stdout_bytes_either_path(monkeypatch, workers, argv, code, digest):
     # Forced: no workers at any size, or three at any size (more than this
     # machine may have CPUs, and a table with no jobs still forks them).
-    monkeypatch.setattr(cli, "_workers", lambda values: workers)
+    monkeypatch.setattr(cli, "_workers", lambda jobs: workers)
     got_code, out = _stdout_of(argv)
     assert got_code == code
     assert hashlib.sha256(out).hexdigest() == digest, out.decode()[:2000]
@@ -192,7 +192,7 @@ def test_stdout_bytes_either_path(monkeypatch, workers, argv, code, digest):
 
 def test_output_file_matches_stdout(monkeypatch, tmp_path):
     argv, _, digest = GOLDEN_BY_ARGV["coincidence-scan --samples 100000 --format json"]
-    monkeypatch.setattr(cli, "_workers", lambda values: 3)
+    monkeypatch.setattr(cli, "_workers", lambda jobs: 3)
     path = tmp_path / "fringes.json"
     assert main([*shlex.split(argv), "--output", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

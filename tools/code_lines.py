@@ -2,9 +2,10 @@
 
 A code line holds a token other than a comment or a line break; the lines
 of module, class and function docstrings do not count, and neither do blank
-lines. Prints each file's count, then the total.
+lines. A directory stands for its own *.py files, in sorted order. Prints
+each file's count, then the total.
 
-    python tools/code_lines.py src/gravscatter/*.py
+    python tools/code_lines.py src/gravscatter
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENDMARKER}
@@ -38,9 +40,15 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+def _files(paths: list[str]) -> list[str]:
+    """``paths`` with each directory replaced by its *.py files, sorted."""
+    return [str(file) for path in paths
+            for file in (sorted(Path(path).glob("*.py")) if Path(path).is_dir() else [path])]
+
+
 def main(paths: list[str]) -> int:
     total = 0
-    for path in paths:
+    for path in _files(paths):
         with open(path, encoding="utf-8") as handle:
             count = code_lines(handle.read())
         total += count
