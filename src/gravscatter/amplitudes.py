@@ -178,7 +178,7 @@ def diagram_sum_grid(theta, *, vertex_perturbation: float = 0.0) -> np.ndarray:
     polarization label runs along pattern axis k, so each vertex block is
     built once per label pair.
     """
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+    theta = check_theta(theta).reshape(-1)
     values = np.empty((theta.size, 2, 2, 2, 2))
     for start in range(0, theta.size, _CHUNK_ANGLES):
         chunk = theta[start:start + _CHUNK_ANGLES]
@@ -221,7 +221,7 @@ def closed_form_grid(theta) -> np.ndarray:
     Any pattern with an odd number of in-plane labels vanishes identically,
     since the one-sided reflection of the scattering plane flips its sign.
     """
-    theta = check_theta(np.asarray(theta, dtype=np.float64).reshape(-1))
+    theta = check_theta(theta).reshape(-1)
     c = np.cos(theta)
     sin_sq = np.float_power(np.sin(theta), 2)
     values = np.zeros(theta.shape + (2, 2, 2, 2))

@@ -17,13 +17,14 @@ w = sin(2 phi) cos(rho). The electron loop channel carries its own SI
 prefactor built from the fine-structure constant and the electron Compton
 wavelength, so those values are returned directly in m^2 per steradian.
 
-The angle functions take a float or an array of angles; an array of
-another dtype is read as float64. Powers of a per-angle value go through
-np.float_power, so an array gives, element by element, exactly the float
-each angle gives alone. The angle functions and si_convert hold at most two
-arrays the size of their input at once: they update their own temporaries
-in place, in the operation order of their docstring formulas, and never
-write into an array they were given.
+The angle functions take a float, a sequence or an array of angles, read
+as float64, and return a float for a number and an array otherwise.
+Powers of a per-angle value go through np.float_power, so an array gives,
+element by element, exactly the float each angle gives alone. The angle
+functions and si_convert hold at most two arrays the size of their input
+at once: they update their own temporaries in place, in the operation
+order of their docstring formulas, and never write into an array they
+were given.
 """
 
 from __future__ import annotations
@@ -98,11 +99,6 @@ class TwoPhotonPolState:
         return math.sin(2.0 * self.phi) * math.cos(self.rho)
 
 
-def _float_or_array(values):
-    """A 0-d result as a Python float, an array result unchanged."""
-    return values if np.ndim(values) else float(values)
-
-
 def _column(values) -> np.ndarray:
     """``values`` as a float64 array with at least one axis: a float gives one element.
 
@@ -113,7 +109,7 @@ def _column(values) -> np.ndarray:
 
 def _like(values, column: np.ndarray):
     """``column`` where ``values`` is an array, its one element as a Python float otherwise."""
-    return _float_or_array(column if np.ndim(values) else column[0])
+    return column if np.ndim(values) else float(column[0])
 
 
 def _check_wavelength(wavelength) -> None:
@@ -128,8 +124,7 @@ def dcs_averaged(theta):
     32 [1 + cos^16(theta/2) + sin^16(theta/2)] / sin^4(theta), which equals
     the mean of |m|^2 over the 16 elements.
     """
-    theta = check_theta(theta)
-    angles = _column(theta)
+    angles = _column(check_theta(theta))
     half = np.multiply(0.5, angles)
     numerator = np.cos(half)
     np.float_power(numerator, 16, out=numerator)
@@ -150,9 +145,8 @@ def dcs_entangled_pqg(theta, state: TwoPhotonPolState):
     The w = +1 Bell state doubles the product-state value at theta = pi/2
     and the w = -1 one shuts the right-angle rate off entirely.
     """
-    theta = check_theta(theta)
     weight = state.interference_weight
-    angles = _column(theta)
+    angles = _column(check_theta(theta))
     c = np.cos(angles)
     g = np.float_power(c, 3)
     g += c
@@ -184,7 +178,8 @@ def dcs_general_state(coefficients, amplitudes):
     if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"squared coefficients must sum to 1, got {norm!r}")
     outgoing = np.einsum("ij,...ijkl->...kl", coefficients, amplitudes)
-    return _float_or_array(0.25 * np.sum(np.abs(outgoing) ** 2, axis=(-2, -1)))
+    dcs = 0.25 * np.sum(np.abs(outgoing) ** 2, axis=(-2, -1))
+    return dcs if dcs.ndim else float(dcs)
 
 
 def qed_bracket(theta, state: TwoPhotonPolState):

@@ -19,18 +19,19 @@ __all__ = [
 ]
 
 
-def check_theta(theta):
-    """Return theta (a float, or an array unchanged) if every angle lies in (0, pi).
+def check_theta(theta) -> np.ndarray:
+    """Theta as a float64 array of its own shape, once every angle lies in (0, pi).
 
-    Both ends are exchange poles. Otherwise, NaN included, raise ValueError
-    naming the first angle outside.
+    A float, a sequence or an array goes in; a number gives a 0-d array, and
+    a float64 array comes back as the same object. Both ends are exchange
+    poles. Any angle outside, NaN included, raises ValueError naming the
+    first one.
     """
-    theta = theta if isinstance(theta, np.ndarray) and theta.ndim else float(theta)
-    angles = np.ravel(theta)
+    angles = np.asarray(theta, dtype=np.float64)
     outside = angles[~((angles > 0.0) & (angles < math.pi))]
     if outside.size:
         raise ValueError(f"theta must lie strictly between 0 and pi, got {float(outside[0])}")
-    return theta
+    return angles
 
 
 def com_arrays(theta) -> tuple[np.ndarray, np.ndarray]:
@@ -45,7 +46,7 @@ def com_arrays(theta) -> tuple[np.ndarray, np.ndarray]:
     indexed [..., photon - 1, label - 1, component], with theta's shape first.
     Every angle must lie strictly between 0 and pi, away from both poles.
     """
-    theta = check_theta(np.asarray(theta, dtype=np.float64))
+    theta = check_theta(theta)
     st, ct = np.sin(theta), np.cos(theta)
     one, zero = np.ones_like(theta), np.zeros_like(theta)
 

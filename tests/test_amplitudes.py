@@ -346,6 +346,16 @@ class TestDiagramSumGrid:
             with pytest.raises(ValueError, match="strictly between 0 and pi"):
                 closed_form_grid([1.0, theta])
 
+    def test_bad_angle_is_refused_before_the_first_chunk(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(amplitudes, "channel_amplitudes",
+                            lambda *args, **kwargs: calls.append(args))
+        grid = np.full(amplitudes._CHUNK_ANGLES + 1, 1.0)
+        grid[-1] = math.pi
+        with pytest.raises(ValueError, match=f"strictly between 0 and pi, got {math.pi}"):
+            diagram_sum_grid(grid)
+        assert calls == []
+
 
 class TestClosedForm:
     @staticmethod

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravscatter.amplitudes import closed_form_grid
+from gravscatter.amplitudes import closed_form_grid, diagram_sum_grid
 from gravscatter import cli
 from gravscatter._json_floats import json_values
 from gravscatter.cli import _csv_pieces, _json_pieces, _render
@@ -83,6 +83,29 @@ FUNCTIONS = dict(_functions())
 def test_dense_grid_matches_scalar_calls(name):
     function = FUNCTIONS[name]
     _assert_elementwise_equal(function, DENSE)
+
+
+# One rule reads the angles of every function: a list or a tuple is the
+# float64 array of its values, and a number gives a Python float from the
+# column functions and a one-row grid from the grids.
+SEQUENCE_FUNCTIONS = {**FUNCTIONS, "si_convert": lambda x: si_convert(x, 5e-7),
+                      "closed_form_grid": closed_form_grid,
+                      "diagram_sum_grid": diagram_sum_grid}
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
+@pytest.mark.parametrize("name", SEQUENCE_FUNCTIONS)
+def test_sequences_read_as_float64_arrays(name, kind):
+    function = SEQUENCE_FUNCTIONS[name]
+    angles = [0.3, 1.0, math.pi / 2, 2.9]
+    expected = function(np.array(angles))
+    values = function(kind(angles))
+    assert isinstance(values, np.ndarray) and values.dtype == np.float64
+    assert values.shape == expected.shape and np.array_equal(values, expected)
+    if name.endswith("_grid"):
+        assert np.array_equal(function(angles[0]), expected[:1])
+    else:
+        assert type(function(angles[0])) is float
 
 
 # Each column function beside its docstring formula evaluated out of place,

@@ -108,12 +108,13 @@ def test_domain_errors(theta):
 
 
 def test_check_theta_scalars_and_arrays():
-    assert check_theta(1) == 1.0 and isinstance(check_theta(1), float)
-    assert check_theta(np.array(2.0)) == 2.0 and isinstance(check_theta(np.array(2.0)), float)
+    for number in (1, 1.0, np.array(1.0)):
+        angles = check_theta(number)
+        assert angles.dtype == np.float64 and angles.shape == () and angles == 1.0
     grid = np.array([0.1, 1.0, 3.0])
     assert check_theta(grid) is grid
-    with pytest.raises(TypeError):
-        check_theta([0.1, 1.0])
+    angles = check_theta([0.1, 1.0])
+    assert angles.dtype == np.float64 and np.array_equal(angles, [0.1, 1.0])
     for bad in (0.0, math.pi, math.nan, -math.inf):
         with pytest.raises(ValueError, match=f"got {bad}"):
             check_theta(bad)
