@@ -228,3 +228,17 @@ def closed_form_grid(theta) -> np.ndarray:
     for pattern, numerator in _NUMERATORS.items():
         values[(slice(None), *(label - 1 for label in pattern))] = numerator(c) / sin_sq
     return values
+
+
+def _closed_form_column(theta, pattern: str) -> np.ndarray:
+    """One pattern's elements over a 1-D array of angles, without the other fifteen.
+
+    ``pattern`` is one of PATTERN_NAMES. Each value is the one
+    closed_form_grid gives, by the same operations: numerator(cos theta)
+    / sin^2 theta, or 0 for a vanishing pattern.
+    """
+    theta = check_theta(theta).reshape(-1)
+    numerator = _NUMERATORS.get(tuple(map(int, pattern)))
+    if numerator is None:
+        return np.zeros(theta.shape)
+    return numerator(np.cos(theta)) / np.float_power(np.sin(theta), 2)

@@ -11,20 +11,24 @@ stdout closed by its reader (``| head``) ends the command quietly with 141,
 the status of a program stopped by SIGPIPE.
 
 Each subcommand handler returns its result, and main alone writes it in the
-chosen format. A scan's table is named numpy columns, one array per column,
-printed as CSV or JSON by one writer. The writer cuts a table into
-formatting jobs of up to _CHUNK_VALUES values: whole rows for CSV, array
-values for JSON. A table of _FORK_MIN_JOBS jobs or more runs them in forked
-workers, one per usable CPU and no more than there are jobs, and the bytes
-written do not depend on how many there are. A job holds views of the
-columns, not a copy: a CSV job stacks its own rows when it runs, so the
-process holds each column once.
+chosen format. A scan's table holds one array, its grid; every other column
+comes from a function of a grid slice. Before any byte is written, main
+evaluates every column once over the grid, in chunks of _CHUNK_VALUES
+angles, and keeps only their running maximum, so a pole or an SI value that
+underflows is a usage error with nothing printed. The writer then cuts the
+table into formatting jobs of up to _CHUNK_VALUES values: whole rows for
+CSV, one column's values for JSON. A job holds a view of its grid slice and
+computes its own values as it runs, so no other column of the table exists
+whole. A table of _FORK_MIN_JOBS jobs or more runs them in forked workers,
+one per usable CPU and no more than there are jobs, and the bytes written do
+not depend on how many there are.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -34,7 +38,7 @@ import warnings
 
 import numpy as np
 
-from .amplitudes import PATTERN_NAMES, PoleError, closed_form_grid
+from .amplitudes import PATTERN_NAMES, PoleError, _closed_form_column
 from .coincidence import coincidence_factor
 from .cross_sections import (
     TwoPhotonPolState,
@@ -60,8 +64,8 @@ _CANONICAL_STATES = {"dcs_product": TwoPhotonPolState(0.0, 0.0),
                      "dcs_psi_plus": TwoPhotonPolState.psi_plus(),
                      "dcs_psi_minus": TwoPhotonPolState.psi_minus()}
 # Values formatted per job, as whole CSV rows or JSON array values; bounds
-# the text held at once, here and in each worker, and the values a CSV job
-# stacks.
+# the values a job computes and the text held at once, here and in each
+# worker.
 _CHUNK_VALUES = 4096
 # Tables of fewer jobs are formatted in this process: a worker costs about
 # 5 ms to fork, feed through a pipe and reap, a value 0.3-0.9 us to format
@@ -70,46 +74,59 @@ _CHUNK_VALUES = 4096
 _FORK_MIN_JOBS = 18
 
 
-def _csv_rows(row: str, chunk: tuple[np.ndarray, ...]) -> str:
-    """The text of one job's rows, from its column slices, stacked here as the job runs."""
-    return row * len(chunk[0]) % tuple(np.column_stack(chunk).ravel().tolist())
+def _csv_rows(argument, chunk: np.ndarray) -> str:
+    """The text of one job's rows: its grid slice, then each column's values on it."""
+    row, columns = argument
+    table = np.column_stack([chunk, *(column(chunk) for column in columns)])
+    return row * len(chunk) % tuple(table.ravel().tolist())
 
 
-def _csv_pieces(columns: dict[str, np.ndarray]):
+def _csv_pieces(table: dict):
     """A header line, then jobs of rows in one prebuilt %.9g row format.
 
-    A job holds views of its rows in each column: no copy of the table is
-    made, and each job stacks its own rows as it runs.
+    ``table`` maps each column's name to the grid, first, and then to a
+    function of a grid slice. A job holds a view of its rows' grid slice
+    and computes their values as it runs.
     """
-    yield ",".join(columns) + "\n"
-    row = ",".join(["%.9g"] * len(columns)) + "\n"
-    arrays = list(columns.values())
-    rows = max(1, _CHUNK_VALUES // len(arrays))
-    for start in range(0, len(arrays[0]), rows):
-        yield _csv_rows, row, tuple(array[start:start + rows] for array in arrays)
+    yield ",".join(table) + "\n"
+    grid, *columns = table.values()
+    row = ",".join(["%.9g"] * len(table)) + "\n"
+    rows = max(1, _CHUNK_VALUES // len(table))
+    for start in range(0, len(grid), rows):
+        yield _csv_rows, (row, columns), grid[start:start + rows]
 
 
-def _json_pieces(value, pad: str = "\n"):
+def _json_values(argument, chunk: np.ndarray) -> str:
+    """The text of one JSON job: a column's values on a grid slice, spelled by json_values."""
+    json_values, separator, column = argument
+    return json_values(separator, column(chunk))
+
+
+def _json_pieces(value, grid=None, pad: str = "\n"):
     """The text of json.dumps(value, indent=2), as pieces.
 
-    Besides what json takes, a value may be a 1-D float64 array; every
-    dict and array must be non-empty. An array bypasses json's pure-Python
-    encoder (indent turns the C one off) and becomes jobs of values, each
-    spelled by gravscatter._json_floats.json_values, a numpy kernel with
-    repr's digits. It is imported here, so that only a JSON table loads it.
+    Besides what json takes, a value may be a 1-D float64 array, or a
+    function that gives float64 values on a slice of ``grid``, a column;
+    every dict and array must be non-empty. An array or a column bypasses
+    json's pure-Python encoder (indent turns the C one off) and becomes jobs
+    of values, each computed from its slice as it runs and spelled by
+    gravscatter._json_floats.json_values, a numpy kernel with repr's
+    digits. It is imported here, so that only a JSON table loads it.
     """
     inner = pad + "  "
     if isinstance(value, dict):
         for k, (key, item) in enumerate(value.items()):
             yield ("," if k else "{") + inner + json.dumps(key) + ": "
-            yield from _json_pieces(item, inner)
+            yield from _json_pieces(item, grid, inner)
         yield pad + "}"
-    elif isinstance(value, np.ndarray):
+    elif isinstance(value, np.ndarray) or callable(value):
         from ._json_floats import json_values
 
-        for start in range(0, len(value), _CHUNK_VALUES):
+        column, values = (value, grid) if callable(value) else (np.asarray, value)
+        for start in range(0, len(values), _CHUNK_VALUES):
             yield ("," if start else "[") + inner
-            yield json_values, "," + inner, value[start:start + _CHUNK_VALUES]
+            yield (_json_values, (json_values, "," + inner, column),
+                   values[start:start + _CHUNK_VALUES])
         yield pad + "]"
     else:
         yield json.dumps(value, indent=2).replace("\n", pad)
@@ -219,56 +236,72 @@ def _check_wavelength(args, parser) -> None:
         parser.error("--lambda must be finite and positive")
 
 
-def _check_underflow(args, parser, theory: str, values) -> None:
-    """Stop with a usage error where every SI value the command prints is 0 or subnormal.
+def _check_underflow(args, parser, theory: str, largest) -> None:
+    """Stop with a usage error where the largest SI value printed, ``largest``, is 0 or subnormal.
 
-    ``values`` holds the SI columns of a scan, or the one value of ``si``; an
-    inf counts as printable. A subnormal value has lost significant digits,
-    so it counts as 0.
+    An inf counts as printable. A subnormal value has lost significant
+    digits, so it counts as 0.
     """
-    if max(np.max(value) for value in values) < sys.float_info.min:
+    if largest < sys.float_info.min:
         parser.error(f"the {theory} cross section at --lambda {args.wavelength:g} underflows "
                      "to 0 or below the smallest normal float")
 
 
+def _largest(grid: np.ndarray, columns: list) -> float:
+    """The largest value of the columns on ``grid``, from one pass in chunks of _CHUNK_VALUES.
+
+    The pass evaluates every column as the jobs will, keeping only the
+    running maximum, so that under main's raising np.errstate a pole or a
+    value beyond float range stops the command before any byte is written.
+    """
+    largest = -math.inf
+    for start in range(0, len(grid), _CHUNK_VALUES):
+        chunk = grid[start:start + _CHUNK_VALUES]
+        largest = max(largest, *(np.max(column(chunk)) for column in columns))
+    return largest
+
+
+def _converted(column, convert, argument):
+    """The column whose values on a grid slice are convert(column(chunk), argument)."""
+    return lambda chunk: convert(column(chunk), argument)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (fields, plain), the JSON object after
-# "command" and either the CSV columns or the text that verify and si print
+# "command" and either a scan's table, its grid and then functions of a grid
+# slice, or the text that verify and si print
 
 def _run_amp_table(args, parser):
     grid = _theta_grid(args, parser)
-    elements = dict(zip(PATTERN_NAMES, closed_form_grid(grid).reshape(len(grid), -1).T))
-    columns = {"theta": grid, **{f"m_{name}": column for name, column in elements.items()}}
-    return {"theta": grid, "elements": elements}, columns
+    elements = {name: functools.partial(_closed_form_column, pattern=name)
+                for name in PATTERN_NAMES}
+    table = {"theta": grid, **{f"m_{name}": column for name, column in elements.items()}}
+    return {"theta": grid, "elements": elements}, table
 
 
 def _run_dcs_scan(args, parser):
     grid = _theta_grid(args, parser)
     _check_wavelength(args, parser)
-    columns = {name: dcs_entangled_pqg(grid, state) for name, state in _CANONICAL_STATES.items()}
-    columns["dcs_averaged"] = dcs_averaged(grid)
-    if args.units == "si":
-        for name, column in columns.items():
-            columns[name] = si_convert(column, args.wavelength)
-        _check_underflow(args, parser, "pqg", columns.values())
-    elif args.units == "figure3":
-        for column in columns.values():
-            column /= _FIGURE_UNITS_DIVISOR
-    columns = {"theta": grid, **columns}
-    return {"units": args.units, "wavelength_m": args.wavelength, **columns}, columns
+    columns = {name: functools.partial(dcs_entangled_pqg, state=state)
+               for name, state in _CANONICAL_STATES.items()}
+    columns["dcs_averaged"] = dcs_averaged
+    if args.units != "reduced":
+        convert, argument = ((si_convert, args.wavelength) if args.units == "si"
+                             else (np.divide, _FIGURE_UNITS_DIVISOR))
+        columns = {name: _converted(column, convert, argument)
+                   for name, column in columns.items()}
+    table = {"theta": grid, **columns}
+    return {"units": args.units, "wavelength_m": args.wavelength, **table}, table
 
 
 def _run_qed_scan(args, parser):
     grid = _theta_grid(args, parser)
     _check_wavelength(args, parser)
-    if args.units == "si":
-        columns = {name: dcs_entangled_qed(grid, state, args.wavelength)
-                   for name, state in _CANONICAL_STATES.items()}
-        _check_underflow(args, parser, "qed", columns.values())
-    else:
-        columns = {name: qed_bracket(grid, state) for name, state in _CANONICAL_STATES.items()}
-    columns = {"theta": grid, **columns}
-    return {"units": args.units, "wavelength_m": args.wavelength, **columns}, columns
+    column = (functools.partial(dcs_entangled_qed, wavelength=args.wavelength)
+              if args.units == "si" else qed_bracket)
+    table = {"theta": grid, **{name: functools.partial(column, state=state)
+                               for name, state in _CANONICAL_STATES.items()}}
+    return {"units": args.units, "wavelength_m": args.wavelength, **table}, table
 
 
 def _run_coincidence_scan(args, parser):
@@ -279,8 +312,8 @@ def _run_coincidence_scan(args, parser):
         state = TwoPhotonPolState(args.phi, args.rho)
     except ValueError as error:
         parser.error(str(error))
-    columns = {"delta": grid, "factor": coincidence_factor(grid, state)}
-    return {"phi": args.phi, "rho": args.rho, **columns}, columns
+    table = {"delta": grid, "factor": functools.partial(coincidence_factor, state=state)}
+    return {"phi": args.phi, "rho": args.rho, **table}, table
 
 
 def _run_verify(args, parser):
@@ -299,7 +332,7 @@ def _run_si(args, parser):
     # section at its maximum, psi+ at theta = 0.
     value = (si_convert(32.0, args.wavelength) if args.theory == "pqg"
              else dcs_entangled_qed(0.0, TwoPhotonPolState.psi_plus(), args.wavelength))
-    _check_underflow(args, parser, args.theory, [value])
+    _check_underflow(args, parser, args.theory, value)
     label = ("32 l_P^4 / lambda^2" if args.theory == "pqg"
              else "loop prefactor times the maximal angle bracket")
     exponent = math.floor(math.log10(value))
@@ -383,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     dcs.add_argument("--lambda", dest="wavelength", type=float, default=None,
                      metavar="METERS", help="photon wavelength, needed for SI units")
     _add_output_options(dcs)
-    dcs.set_defaults(handler=_run_dcs_scan)
+    dcs.set_defaults(handler=_run_dcs_scan, theory="pqg")
 
     qed = sub.add_parser("qed-scan",
                          help="electron-loop cross sections for the canonical states")
@@ -393,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     qed.add_argument("--lambda", dest="wavelength", type=float, default=None,
                      metavar="METERS", help="photon wavelength, needed for SI units")
     _add_output_options(qed)
-    qed.set_defaults(handler=_run_qed_scan)
+    qed.set_defaults(handler=_run_qed_scan, theory="qed")
 
     coin = sub.add_parser("coincidence-scan",
                           help="joint-detection modulation versus the phase delta")
@@ -443,14 +476,23 @@ def main(argv=None) -> int:
         # the floating-point range, as does a scalar ArithmeticError.
         with np.errstate(all="ignore", divide="raise", invalid="raise"):
             fields, plain = args.handler(args, parser)
+            grid = None
+            if isinstance(plain, dict):
+                grid, *columns = plain.values()
+                largest = _largest(grid, columns)
+                if getattr(args, "units", None) == "si":
+                    _check_underflow(args, parser, args.theory, largest)
         if args.format == "json":
-            pieces = itertools.chain(_json_pieces({"command": args.command, **fields}), ["\n"])
+            pieces = itertools.chain(
+                _json_pieces({"command": args.command, **fields}, grid), ["\n"])
         elif args.format == "csv":
             pieces = _csv_pieces(plain)
         else:
             pieces = [plain]
+        # The pass above raised on anything the jobs could meet but an
+        # overflow to inf, which they print without a warning.
         with open(args.output, "w", encoding="utf-8") if args.output is not None \
-                else contextlib.nullcontext(sys.stdout) as out:
+                else contextlib.nullcontext(sys.stdout) as out, np.errstate(all="ignore"):
             _render(list(pieces), out.write)
             out.flush()
     except PoleError as error:

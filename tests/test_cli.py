@@ -9,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +430,59 @@ class TestUnevaluableInputs:
         assert capsys.readouterr().out.splitlines()[1].startswith("1e-160,-inf,0,")
 
 
+class TestStreamedColumns:
+    """Each formatting job computes its own rows; one pass over the grid, in
+    chunks of _CHUNK_VALUES angles, finds every usage error first."""
+
+    # psi+ is each row's largest value. At --lambda 9.552e32 it is subnormal
+    # on rows 1-4 of this grid and normal from row 5 on; at 1e33, on every row.
+    GRID = ["--theta-min", repr(math.pi / 2), "--theta-max", repr(math.pi - 1e-3),
+            "--samples", "50"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_normal_rows_after_subnormal_jobs_print_the_whole_table(self, fmt, monkeypatch,
+                                                                     capsys):
+        argv = ["qed-scan", "--lambda", "9.552e32", *self.GRID, "--format", fmt]
+        assert main(argv) == 0
+        whole = capsys.readouterr().out  # every column in one job
+        psi_plus = (json.loads(whole)["dcs_psi_plus"] if fmt == "json"
+                    else [row[2] for row in _rows(whole)[1]])
+        assert max(psi_plus[:4]) < sys.float_info.min <= psi_plus[4]
+        for values in (3, 4, 7):
+            monkeypatch.setattr(cli, "_CHUNK_VALUES", values)
+            assert main(argv) == 0
+            assert capsys.readouterr().out == whole, values
+
+    @pytest.mark.parametrize("argv, words", [
+        (["qed-scan", "--lambda", "1e33", *GRID],
+         "the qed cross section at --lambda 1e+33 underflows to 0"),
+        (["qed-scan", "--lambda", "1e33", *GRID, "--format", "json"],
+         "the qed cross section at --lambda 1e+33 underflows to 0"),
+        (["dcs-scan", "--theta-min", "1e-170"], "cannot evaluate (divide by zero"),
+        (["dcs-scan", "--theta-min", "1e-170", "--format", "json"],
+         "cannot evaluate (divide by zero"),
+        (["amp-table", "--theta-min", "1e-170"], "cannot evaluate (divide by zero"),
+        (["amp-table", "--theta-min", "1e-170", "--format", "json"],
+         "cannot evaluate (divide by zero"),
+    ])
+    @pytest.mark.parametrize("values", [3, 4])
+    def test_usage_errors_with_tiny_jobs(self, argv, words, values, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_CHUNK_VALUES", values)
+        assert words in TestUnevaluableInputs._error_line(argv, capsys)
+
+    @pytest.mark.parametrize("workers", [3, 0], ids=["forked", "in-process"])
+    def test_overflow_to_inf_prints_without_a_warning(self, workers, monkeypatch, capfd):
+        # A warning raised in a forked job fails its worker, and so the command.
+        monkeypatch.setattr(cli, "_workers", lambda jobs: workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["dcs-scan", "--units", "si", "--lambda", "1e100",
+                         "--theta-min", "1e-80", "--samples", "3"]) == 0
+        out, err = capfd.readouterr()
+        assert out.splitlines()[1] == "1e-80,inf,inf,inf,inf"
+        assert err == ""
+
+
 class TestNegativeValues:
     """A negative float written after its option, as argparse alone would refuse it."""
 
@@ -604,11 +658,12 @@ class TestFormattingWorkers:
         table = capsys.readouterr().out
         # Chunks of 10 rows; the job of the sixth, rows 50 to 59, raises in
         # the second of two workers, which has sent the frames before it.
+        # A CSV job's chunk is its rows' grid slice.
         real = cli._csv_rows
         failing_start = float(table.splitlines()[51].split(",")[0])
 
         def failing(row, chunk):
-            if float("%.9g" % chunk[0][0]) == failing_start:
+            if float("%.9g" % chunk[0]) == failing_start:
                 raise RuntimeError("job failed")
             return real(row, chunk)
 

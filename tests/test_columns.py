@@ -20,7 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravscatter.amplitudes import closed_form_grid, diagram_sum_grid
+from gravscatter.amplitudes import (
+    PATTERN_NAMES,
+    _closed_form_column,
+    closed_form_grid,
+    diagram_sum_grid,
+)
 from gravscatter import cli
 from gravscatter._json_floats import json_values
 from gravscatter.cli import _csv_pieces, _json_pieces, _render
@@ -218,6 +223,15 @@ def test_closed_form_grid_equals_one_element_grids(angles):
         assert np.array_equal(row, closed_form_grid([theta])[0]), theta
 
 
+@pytest.mark.parametrize("k, pattern", list(enumerate(PATTERN_NAMES)))
+def test_closed_form_column_is_its_grid_column(k, pattern):
+    # Bit for bit, signed zeros included: %.9g prints -0.0 as "-0".
+    column = _closed_form_column(DENSE, pattern)
+    expected = closed_form_grid(DENSE).reshape(len(DENSE), -1)[:, k]
+    assert column.dtype == np.float64
+    assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
+
+
 def test_array_phase_must_be_finite():
     with pytest.raises(ValueError, match="finite"):
         coincidence_factor(np.array([0.0, math.inf]), TwoPhotonPolState.psi_plus())
@@ -309,21 +323,32 @@ def test_json_writer_spans_chunks(monkeypatch, workers):
     column[[0, 4, 10]] = [math.inf, math.nan, -math.inf]
     payload = {"a": column, "b": {"c": column[:6], "d": 1.5}}
     assert _json_text(payload) == json.dumps(_plain(payload), indent=2)
+    # A column gives its values on the grid's slices, computed in each job.
+    text = _rendered(_json_pieces({"e": np.negative, "f": {"g": np.negative}}, column))
+    assert text == json.dumps({"e": (-column).tolist(), "f": {"g": (-column).tolist()}},
+                              indent=2)
+
+
+def _looked_up(values):
+    """A column that gives row k of ``values`` at the grid value k."""
+    return lambda chunk: np.asarray(values)[chunk.astype(np.intp)]
 
 
 @given(table=st.lists(st.tuples(floats, floats, floats), min_size=1, max_size=50))
 @settings(max_examples=100, deadline=None)
 def test_csv_writer_matches_row_formatting(table):
-    columns = {name: np.array(column) for name, column in zip("abc", zip(*table))}
-    expected = "a,b,c\n" + "".join(
-        ",".join(format(value, ".9g") for value in row) + "\n" for row in table)
-    assert _rendered(_csv_pieces(columns)) == expected
+    columns = {name: _looked_up(column) for name, column in zip("abc", zip(*table))}
+    expected = "k,a,b,c\n" + "".join(
+        ",".join(format(value, ".9g") for value in (k, *row)) + "\n"
+        for k, row in enumerate(table))
+    grid = np.arange(float(len(table)))
+    assert _rendered(_csv_pieces({"k": grid, **columns})) == expected
 
 
 def _assert_csv_spans_chunks(monkeypatch):
     monkeypatch.setattr(cli, "_CHUNK_VALUES", 6)  # 3 rows of 2 columns
-    columns = {"t": np.arange(10.0), "v": np.arange(10.0) / 3.0}
-    lines = _rendered(_csv_pieces(columns)).splitlines()
+    table = {"t": np.arange(10.0), "v": lambda t: t / 3.0}
+    lines = _rendered(_csv_pieces(table)).splitlines()
     assert lines[0] == "t,v"
     assert lines[1:] == [f"{t:.9g},{t / 3.0:.9g}" for t in np.arange(10.0).tolist()]
 
@@ -338,31 +363,36 @@ def test_csv_writer_spans_chunks_in_workers(monkeypatch):
 
 
 def test_csv_jobs_hold_at_most_chunk_values():
-    # amp-table's 17 columns: 240 whole rows a job, not 4096.
-    columns = {f"c{k}": np.arange(10_000.0) for k in range(17)}
-    jobs = [piece[2] for piece in _csv_pieces(columns) if not isinstance(piece, str)]
-    sizes = [sum(part.size for part in chunk) for chunk in jobs]
-    assert max(sizes) == 17 * (cli._CHUNK_VALUES // 17) <= cli._CHUNK_VALUES
-    assert sum(sizes) == 17 * 10_000
+    # amp-table's 17 columns: 240 whole rows a job, not 4096. A job holds a
+    # view of its rows' grid slice; the other columns are computed as it runs.
+    grid = np.arange(10_000.0)
+    table = {"theta": grid, **{f"c{k}": np.negative for k in range(16)}}
+    jobs = [piece[2] for piece in _csv_pieces(table) if not isinstance(piece, str)]
+    assert all(chunk.base is grid for chunk in jobs)
+    assert max(17 * len(chunk) for chunk in jobs) == 17 * (cli._CHUNK_VALUES // 17)
+    assert sum(len(chunk) for chunk in jobs) == 10_000
 
 
-# tracemalloc sees numpy's buffers. A scan of N rows holds its grid and
-# columns once, one new SI column beside the reduced one it replaces, two
-# temporaries while a column is computed and one job's text. A bound is
-# counted in arrays of N floats. A CSV job holds its 4096 values as Python
-# floats and text, whatever the table's width: 17 columns of 4096 rows would
-# add about 15 arrays at N = 20k (amp-table peaked at 38.1 with them, 23.4
-# without), and an out-of-place coincidence factor 0.7 at N = 100k (3.28,
-# against 2.58 in one buffer).
-@pytest.mark.parametrize("argv, rows, arrays", [
-    (["dcs-scan", "--units", "si", "--lambda", "5e-7", "--format", "csv"], 100_000, 8),
-    (["dcs-scan", "--units", "si", "--lambda", "5e-7", "--format", "json"], 100_000, 8),
-    (["qed-scan", "--lambda", "5e-7", "--format", "csv"], 100_000, 6),
-    (["qed-scan", "--lambda", "5e-7", "--format", "json"], 100_000, 6),
-    (["amp-table", "--format", "csv"], 20_000, 28),
-    (["coincidence-scan", "--format", "csv"], 100_000, 3),
-], ids=["dcs-csv", "dcs-json", "qed-csv", "qed-json", "amp-csv", "coincidence-csv"])
-def test_scans_hold_each_column_once(monkeypatch, argv, rows, arrays):
+# tracemalloc sees numpy's buffers. A scan of N rows holds its grid, N
+# floats, and one job's working set: a CSV job's values as Python floats and
+# text, a JSON job's digit arrays. The bound is the grid plus 170 bytes a
+# job value as CSV and 380 as JSON: 1.9 and 2.9 arrays of N at N = 1e5, and
+# 1.2 and 1.5 at N = 4e5. With whole columns these scans peaked at 2.4-6.4
+# arrays at N = 1e5, and amp-table at 22-24 at N = 2e4.
+@pytest.mark.parametrize("argv, rows", [
+    (["dcs-scan", "--units", "si", "--lambda", "5e-7", "--format", "csv"], 100_000),
+    (["dcs-scan", "--units", "si", "--lambda", "5e-7", "--format", "json"], 100_000),
+    (["qed-scan", "--lambda", "5e-7", "--format", "csv"], 100_000),
+    (["qed-scan", "--lambda", "5e-7", "--format", "json"], 100_000),
+    (["amp-table", "--format", "csv"], 20_000),
+    (["amp-table", "--format", "json"], 20_000),
+    (["coincidence-scan", "--format", "csv"], 100_000),
+    (["coincidence-scan", "--format", "json"], 100_000),
+    (["dcs-scan", "--units", "si", "--lambda", "5e-7", "--format", "csv"], 400_000),
+    (["dcs-scan", "--units", "si", "--lambda", "5e-7", "--format", "json"], 400_000),
+], ids=["dcs-csv", "dcs-json", "qed-csv", "qed-json", "amp-csv", "amp-json",
+        "coincidence-csv", "coincidence-json", "dcs-csv-4e5", "dcs-json-4e5"])
+def test_scans_hold_each_column_once(monkeypatch, argv, rows):
     monkeypatch.setattr(cli, "_workers", lambda jobs: 0)
     tracemalloc.start()
     try:
@@ -370,7 +400,8 @@ def test_scans_hold_each_column_once(monkeypatch, argv, rows, arrays):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < arrays * 8 * rows, peak / (8 * rows)
+    per_value = {"csv": 170, "json": 380}[argv[-1]]
+    assert peak < 8 * rows + per_value * cli._CHUNK_VALUES, peak / (8 * rows)
 
 
 def _loaded_by_cli_import(modules, argv=None):
