@@ -222,20 +222,16 @@ def closed_form_grid(theta) -> np.ndarray:
     since the one-sided reflection of the scattering plane flips its sign.
     """
     theta = check_theta(theta).reshape(-1)
-    c = np.cos(theta)
-    sin_sq = np.float_power(np.sin(theta), 2)
-    values = np.zeros(theta.shape + (2, 2, 2, 2))
-    for pattern, numerator in _NUMERATORS.items():
-        values[(slice(None), *(label - 1 for label in pattern))] = numerator(c) / sin_sq
-    return values
+    columns = [_closed_form_column(theta, pattern) for pattern in PATTERN_NAMES]
+    return np.stack(columns, axis=-1).reshape(theta.shape + (2, 2, 2, 2))
 
 
 def _closed_form_column(theta, pattern: str) -> np.ndarray:
     """One pattern's elements over a 1-D array of angles, without the other fifteen.
 
-    ``pattern`` is one of PATTERN_NAMES. Each value is the one
-    closed_form_grid gives, by the same operations: numerator(cos theta)
-    / sin^2 theta, or 0 for a vanishing pattern.
+    ``pattern`` is one of PATTERN_NAMES. Each value is numerator(cos theta)
+    / sin^2 theta, or 0 for a vanishing pattern; closed_form_grid stacks
+    the sixteen columns.
     """
     theta = check_theta(theta).reshape(-1)
     numerator = _NUMERATORS.get(tuple(map(int, pattern)))

@@ -65,7 +65,8 @@ _CANONICAL_STATES = {"dcs_product": TwoPhotonPolState(0.0, 0.0),
                      "dcs_psi_minus": TwoPhotonPolState.psi_minus()}
 # Values formatted per job, as whole CSV rows or JSON array values; bounds
 # the values a job computes and the text held at once, here and in each
-# worker.
+# worker. This constant, not the column functions, is what bounds a scan's
+# memory beyond its grid.
 _CHUNK_VALUES = 4096
 # Tables of fewer jobs are formatted in this process: a worker costs about
 # 5 ms to fork, feed through a pipe and reap, a value 0.3-0.9 us to format

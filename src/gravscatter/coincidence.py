@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .cross_sections import TwoPhotonPolState, _check_wavelength, _column, _like
+from .cross_sections import TwoPhotonPolState, _check_wavelength, _like
 
 __all__ = [
     "coincidence_factor",
@@ -28,16 +28,11 @@ def coincidence_factor(phase, state: TwoPhotonPolState):
     Every phase must be finite; otherwise ValueError, naming the first
     non-finite phase.
     """
-    phases = _column(phase)
+    phases = np.asarray(phase, dtype=np.float64)
     outside = phases[~np.isfinite(phases)]
     if outside.size:
         raise ValueError(f"phase must be finite, got {float(outside[0])}")
-    # One buffer, in the formula's order of operations, so each value keeps its bits.
-    factor = np.add(phases, state.rho)
-    np.cos(factor, out=factor)
-    factor *= math.sin(2.0 * state.phi)
-    factor += 1.0
-    return _like(phase, factor)
+    return _like(phases, 1.0 + math.sin(2.0 * state.phi) * np.cos(phases + state.rho))
 
 
 def separation_to_phase(distance: float, wavelength: float) -> float:

@@ -20,11 +20,11 @@ wavelength, so those values are returned directly in m^2 per steradian.
 The angle functions take a float, a sequence or an array of angles, read
 as float64, and return a float for a number and an array otherwise.
 Powers of a per-angle value go through np.float_power, so an array gives,
-element by element, exactly the float each angle gives alone. The angle
-functions and si_convert hold at most two arrays the size of their input
-at once: they update their own temporaries in place, in the operation
-order of their docstring formulas, and never write into an array they
-were given.
+element by element, exactly the float each angle gives alone. Each of
+them and si_convert is its docstring formula, evaluated out of place in
+that formula's operation order, and never writes into an array it was
+given. A scan's memory is bounded by the CLI's jobs, which call these
+functions on grid slices of at most a few thousand values.
 """
 
 from __future__ import annotations
@@ -99,17 +99,9 @@ class TwoPhotonPolState:
         return math.sin(2.0 * self.phi) * math.cos(self.rho)
 
 
-def _column(values) -> np.ndarray:
-    """``values`` as a float64 array with at least one axis: a float gives one element.
-
-    A float64 array comes back as the caller's own, so it is only read.
-    """
-    return np.atleast_1d(np.asarray(values, dtype=np.float64))
-
-
-def _like(values, column: np.ndarray):
-    """``column`` where ``values`` is an array, its one element as a Python float otherwise."""
-    return column if np.ndim(values) else float(column[0])
+def _like(values, result):
+    """``result`` where ``values`` is an array, as a Python float otherwise."""
+    return result if np.ndim(values) else float(result)
 
 
 def _check_wavelength(wavelength) -> None:
@@ -124,15 +116,11 @@ def dcs_averaged(theta):
     32 [1 + cos^16(theta/2) + sin^16(theta/2)] / sin^4(theta), which equals
     the mean of |m|^2 over the 16 elements.
     """
-    angles = _column(check_theta(theta))
-    half = np.multiply(0.5, angles)
-    numerator = np.cos(half)
-    np.float_power(numerator, 16, out=numerator)
-    numerator += 1.0
-    numerator += np.float_power(np.sin(half, out=half), 16, out=half)
-    numerator *= 32.0
-    numerator /= np.float_power(np.sin(angles, out=half), 4, out=half)
-    return _like(theta, numerator)
+    angles = check_theta(theta)
+    half = 0.5 * angles
+    return _like(angles, 32.0 * (1.0 + np.float_power(np.cos(half), 16)
+                                 + np.float_power(np.sin(half), 16))
+                 / np.float_power(np.sin(angles), 4))
 
 
 def dcs_entangled_pqg(theta, state: TwoPhotonPolState):
@@ -145,18 +133,12 @@ def dcs_entangled_pqg(theta, state: TwoPhotonPolState):
     The w = +1 Bell state doubles the product-state value at theta = pi/2
     and the w = -1 one shuts the right-angle rate off entirely.
     """
-    weight = state.interference_weight
-    angles = _column(check_theta(theta))
+    w = state.interference_weight
+    angles = check_theta(theta)
     c = np.cos(angles)
-    g = np.float_power(c, 3)
-    g += c
-    # bracket = 4 (1 + w) + ((1 - w) g) g, in c's buffer.
-    bracket = np.multiply(1.0 - weight, g, out=c)
-    bracket *= g
-    bracket += 4.0 * (1.0 + weight)
-    bracket *= 8.0
-    bracket /= np.float_power(np.sin(angles, out=g), 4, out=g)
-    return _like(theta, bracket)
+    g = c + np.float_power(c, 3)
+    return _like(angles, 8.0 * (4.0 * (1.0 + w) + (1.0 - w) * g * g)
+                 / np.float_power(np.sin(angles), 4))
 
 
 def dcs_general_state(coefficients, amplitudes):
@@ -189,19 +171,11 @@ def qed_bracket(theta, state: TwoPhotonPolState):
     weight; defined on the closed interval [0, pi] since the loop elements
     have no pole.
     """
-    weight = state.interference_weight
-    c = np.cos(_column(theta))
-    # (31 + (3 c) c)^2 (1 + w), then (22 c)^2 (1 - w) in c's buffer.
-    bracket = np.multiply(3.0, c)
-    bracket *= c
-    bracket += 31.0
-    np.float_power(bracket, 2, out=bracket)
-    bracket *= 1.0 + weight
-    c *= 22.0
-    np.float_power(c, 2, out=c)
-    c *= 1.0 - weight
-    bracket += c
-    return _like(theta, bracket)
+    w = state.interference_weight
+    angles = np.asarray(theta, dtype=np.float64)
+    c = np.cos(angles)
+    return _like(angles, (1.0 + w) * np.float_power(31.0 + 3.0 * c * c, 2)
+                 + (1.0 - w) * np.float_power(22.0 * c, 2))
 
 
 def dcs_entangled_qed(theta, state: TwoPhotonPolState, wavelength: float):
@@ -214,15 +188,11 @@ def dcs_entangled_qed(theta, state: TwoPhotonPolState, wavelength: float):
     _check_wavelength(wavelength)
     prefactor = (FINE_STRUCTURE ** 4 / (2.0 * 45.0 ** 2 * (2.0 * math.pi) ** 2)
                  * COMPTON_WAVELENGTH ** 8 / wavelength ** 6)
-    # The bracket is a new array, or a float that becomes one.
-    dcs = _column(qed_bracket(theta, state))
-    dcs *= prefactor
-    return _like(theta, dcs)
+    return prefactor * qed_bracket(theta, state)
 
 
 def si_convert(reduced, wavelength: float):
     """Reduced gravitational value times l_P^4 / lambda^2, in m^2 per steradian."""
     _check_wavelength(wavelength)
-    si = np.multiply(_column(reduced), PLANCK_LENGTH ** 4)
-    si /= wavelength ** 2
-    return _like(reduced, si)
+    values = np.asarray(reduced, dtype=np.float64)
+    return _like(values, values * PLANCK_LENGTH ** 4 / wavelength ** 2)

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravscatter.amplitudes import (
+    _NUMERATORS,
     PATTERN_NAMES,
     _closed_form_column,
     closed_form_grid,
@@ -113,6 +114,20 @@ def test_sequences_read_as_float64_arrays(name, kind):
         assert type(function(angles[0])) is float
 
 
+# A number arrives as a Python float, a numpy float64 or a 0-d array: the
+# demos iterate np.linspace. Each gives the Python float the array gives.
+@pytest.mark.parametrize("name", [*FUNCTIONS, "si_convert"])
+def test_numpy_scalars_and_0d_arrays_give_floats(name):
+    function = SEQUENCE_FUNCTIONS[name]
+    angles = DENSE[::50]
+    column = function(angles)
+    for angle, element in zip(angles, column.tolist()):
+        for number in (np.float64(angle), np.array(angle)):
+            value = function(number)
+            assert type(value) is float, (type(number), type(value))
+            assert value == element, (float(angle), value, element)
+
+
 # Each column function beside its docstring formula evaluated out of place,
 # one operation at a time in the same order: in IEEE arithmetic * and +
 # commute exactly, but (1 - w) g g is ((1 - w) g) g.
@@ -138,7 +153,7 @@ def _qed_prefactor(wavelength):
 
 
 def _references(wavelength=5e-7):
-    """(name, function, reference) for each function that updates its columns in place."""
+    """(name, function, reference) for each column function."""
     yield "dcs_averaged", dcs_averaged, _averaged
     for k, state in enumerate(STATES):
         w = state.interference_weight
@@ -223,13 +238,28 @@ def test_closed_form_grid_equals_one_element_grids(angles):
         assert np.array_equal(row, closed_form_grid([theta])[0]), theta
 
 
+def _one_pass_grid(theta):
+    """The 16 closed forms with cos and sin^2 taken once for the whole grid."""
+    c = np.cos(theta)
+    sin_sq = np.float_power(np.sin(theta), 2)
+    values = np.zeros(theta.shape + (2, 2, 2, 2))
+    for pattern, numerator in _NUMERATORS.items():
+        values[(slice(None), *(label - 1 for label in pattern))] = numerator(c) / sin_sq
+    return values.reshape(len(theta), -1)
+
+
+DENSE_ONE_PASS = _one_pass_grid(DENSE)
+
+
 @pytest.mark.parametrize("k, pattern", list(enumerate(PATTERN_NAMES)))
 def test_closed_form_column_is_its_grid_column(k, pattern):
     # Bit for bit, signed zeros included: %.9g prints -0.0 as "-0".
+    expected = DENSE_ONE_PASS[:, k].view(np.uint64)
     column = _closed_form_column(DENSE, pattern)
-    expected = closed_form_grid(DENSE).reshape(len(DENSE), -1)[:, k]
-    assert column.dtype == np.float64
-    assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
+    grid_column = closed_form_grid(DENSE).reshape(len(DENSE), -1)[:, k]
+    assert column.dtype == grid_column.dtype == np.float64
+    assert np.array_equal(column.view(np.uint64), expected)
+    assert np.array_equal(grid_column.view(np.uint64), expected)
 
 
 def test_array_phase_must_be_finite():
