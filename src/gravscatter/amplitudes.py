@@ -68,44 +68,55 @@ class PoleError(ValueError):
     """Squared exchange momentum fell inside the massless-propagator pole window."""
 
 
+def _field_strength(k, eps) -> np.ndarray:
+    """Covariant field strength F_{mu nu} = k_mu eps_nu - k_nu eps_mu; leading axes broadcast."""
+    outer = (k * _ETA)[..., :, None] * (eps * _ETA)[..., None, :]
+    return outer - np.swapaxes(outer, -1, -2)
+
+
+def _trace(block) -> np.ndarray:
+    """eta^{mu nu} B_{mu nu} over the last two axes.
+
+    By einsum, not by @ on the diagonal, which OpenBLAS may sum in an order
+    that depends on the CPU kernel it picks.
+    """
+    return np.einsum("...mm,m->...", block, _ETA)
+
+
 def contracted_vertex(p_out, p_in, eps_out, eps_in, *,
                       perturbation: float = 0.0) -> np.ndarray:
-    """Two-photon-graviton vertex with both photon slots filled.
+    """Two-photon-graviton vertex with both photon slots filled: minus the photons' stress tensor.
 
-    The vertex T_{mu nu beta alpha}(q, p), q = p_out and p = p_in, has (mu, nu)
-    on the graviton, beta on the outgoing photon and alpha on the incoming
-    one:
+    Gravity couples to the stress tensor. With q = p_out, e = eps_out,
+    p = p_in and f = eps_in, take the field strengths F_out = q ^ e and
+    F_in = p ^ f of _field_strength, and X = F_out eta F_in^T, that is
+    X_{mu nu} = F_out,{mu a} eta^{ab} F_in,{nu b}. The covariant rank-2
+    block is
 
-        T =   q_alpha p_mu eta_{beta nu} + (mu <-> nu)
-            + p_beta  q_mu eta_{alpha nu} + (mu <-> nu)
-            - eta_{alpha beta} (q_mu p_nu + p_mu q_nu)
-            + (q . p) eta_{mu nu} eta_{alpha beta} - eta_{mu nu} p_beta q_alpha
-            - (q . p) (eta_{mu alpha} eta_{nu beta} + eta_{mu beta} eta_{nu alpha}).
+        B = -T(F_out, F_in) - delta (q.p) {e, f},
+        T = X + X^T - (1/2) eta tr X,
 
-    Contracting beta with e = eps_out and alpha with f = eps_in leaves the
-    covariant rank-2 block
+    where T is the bilinear Maxwell stress tensor, tr T = eta^{mu nu} T_{mu nu},
+    {a, b}_{mu nu} = a_mu b_nu + b_mu a_nu and delta = ``perturbation``.
+    T is traceless in four dimensions, so tr B = -2 delta (q.p)(e.f).
 
-        B = (q.f) {p, e} + (p.e) {q, f} - (e.f) {q, p}
-            + [(q.p)(e.f) - (p.e)(q.f)] eta - (q.p) {e, f},
-
-    where {a, b}_{mu nu} = a_mu b_nu + b_mu a_nu. B is symmetric and bilinear
-    in the two momenta, so a sign-flipped momentum for a crossed leg flips
-    the whole block. ``perturbation`` rescales the final metric-pair term by
-    (1 + perturbation); it exists purely as a negative control for the
+    Expanded, B is the full rank-4 vertex contracted with e on its outgoing
+    and f on its incoming photon slot, with the vertex's (q.p) metric-pair
+    term scaled by (1 + delta); tests/vertex_reference.py builds that
+    tensor term by term. B is symmetric and bilinear in the two momenta, so
+    a sign-flipped momentum for a crossed leg flips the whole block.
+    ``perturbation`` exists purely as a negative control for the
     verification gate and must stay 0 in physics use. Arguments carry
     contravariant components on the last axis; leading axes broadcast.
     """
     q, p, e, f = (np.asarray(v, dtype=np.float64) for v in (p_out, p_in, eps_out, eps_in))
-    qf, pe, ef, qp = (minkowski_dot(a, b) for a, b in ((q, f), (p, e), (e, f), (q, p)))
-    ql, pl, el, fl = (v * _ETA for v in (q, p, e, f))
-    # Sum the a_mu (w b)_nu halves of the {a, b} terms, then add the
-    # transpose once: the block comes out exactly symmetric.
-    half = (0.5 * (qp * ef - pe * qf))[..., None, None] * METRIC
-    for a, b, weight in ((pl, el, qf), (ql, fl, pe), (ql, pl, -ef),
-                         (el, fl, -qp * (1.0 + float(perturbation)))):
-        half += a[..., :, None] * (weight[..., None] * b)[..., None, :]
-    block = half + np.swapaxes(half, -1, -2)
-    return block
+    x = np.einsum("...ma,a,...na->...mn", _field_strength(q, e), _ETA, _field_strength(p, f))
+    weight = float(perturbation) * minkowski_dot(q, p)
+    # Build half of B, then add its transpose once: the block comes out
+    # exactly symmetric.
+    half = (0.25 * _trace(x))[..., None, None] * METRIC - x
+    half -= (e * _ETA)[..., :, None] * (weight[..., None] * f * _ETA)[..., None, :]
+    return half + np.swapaxes(half, -1, -2)
 
 
 def graviton_coupling(block1, block2) -> np.ndarray:
@@ -115,12 +126,13 @@ def graviton_coupling(block1, block2) -> np.ndarray:
     eta_{mu beta} eta_{nu alpha} - eta_{mu nu} eta_{alpha beta}) / 2, the
     contraction B1^{mu nu} P_{mu nu alpha beta} B2^{alpha beta} of symmetric
     blocks reduces to B1:B2 - tr B1 tr B2 / 2, every index raised by the
-    metric. Leading axes broadcast.
+    metric. Leading axes broadcast. A photon block is traceless (see
+    contracted_vertex), so the trace term adds nothing to a physical
+    amplitude; it is kept for the perturbed block of the negative control,
+    which has a trace.
     """
     full = np.einsum("...mn,...mn,mn->...", block1, block2, _ETA_PAIR)
-    trace1 = np.diagonal(block1, axis1=-2, axis2=-1) @ _ETA
-    trace2 = np.diagonal(block2, axis1=-2, axis2=-1) @ _ETA
-    return full - 0.5 * trace1 * trace2
+    return full - 0.5 * _trace(block1) * _trace(block2)
 
 
 # Per channel: two vertices, each (photon on the out slot, photon on the in

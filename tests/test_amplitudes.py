@@ -130,6 +130,32 @@ class TestVertexTensor:
         assert_allclose(bumped, base - 0.5 * dot[:, None, None] * pair,
                         rtol=1e-12, atol=1e-12)
 
+    def test_unperturbed_block_is_traceless(self):
+        # The block is minus the photons' stress tensor, traceless in four
+        # dimensions, on and off shell.
+        rng = np.random.default_rng(27)
+        momenta, basis = com_arrays(np.linspace(0.1, 3.0, 7))
+        for legs in (rng.normal(size=(4, 50, 4)),
+                     (momenta[:, :, None, None, None], momenta[:, None, :, None, None],
+                      basis[:, :, None, :, None], basis[:, None, :, None, :])):
+            blocks = contracted_vertex(*legs)
+            trace = np.einsum("...mn,mn->...", blocks, METRIC)
+            assert np.all(np.abs(trace) <= 1e-14 * np.abs(blocks).max(axis=(-2, -1)))
+
+    def test_perturbed_trace_is_the_scaled_term_alone(self):
+        # The trace is -2 delta (q.p)(e.f), so the scaled term -delta (q.p)
+        # {e, f} is all of the block that the coupling's -tr B1 tr B2 / 2
+        # term can see.
+        p_out, p_in, eps_out, eps_in = np.random.default_rng(28).normal(size=(4, 50, 4))
+        for perturbation in (0.5, -1e-3):
+            blocks = contracted_vertex(p_out, p_in, eps_out, eps_in,
+                                       perturbation=perturbation)
+            trace = np.einsum("rmn,mn->r", blocks, METRIC)
+            want = (-2.0 * perturbation * minkowski_dot(p_out, p_in)
+                    * minkowski_dot(eps_out, eps_in))
+            assert_allclose(trace, want, rtol=0.0,
+                            atol=1e-14 * float(np.abs(blocks).max()))
+
 
 class TestPropagatorNumerator:
     """The block coupling against the numerator P contracted in full."""

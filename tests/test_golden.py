@@ -1,8 +1,9 @@
 """Golden CLI output: exact stdout bytes for a fixed argv matrix.
 
 Each entry holds the exit code and the sha256 of the stdout bytes captured
-from the row-at-a-time implementation that preceded the columnar scans; the
-five verify entries have changed since, and say why next to them.
+from the row-at-a-time implementation that preceded the columnar scans.
+Only the five verify entries have changed since, each twice and one of them
+a third time, and they say why next to them.
 A changed last digit anywhere in a table changes the hash. The matrix covers
 every scan in CSV and JSON, every unit choice, grids that reach 1e-7 from
 both poles, the overflow rows near theta = 1e-80 and 1e-160, non-default
@@ -15,6 +16,7 @@ jobs run in this process and run in forked workers.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shlex
 import subprocess
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from gravscatter import cli
+from gravscatter.amplitudes import PATTERN_NAMES
 from gravscatter.cli import main
 
 NEAR_POLES = "--theta-min=1e-07 --theta-max=3.1415925535897933"
@@ -98,30 +101,43 @@ GOLDEN = [
      "8bd1b02e5d092b6d2d9bf9fe1bb59e8bb7d823d20b0ac8b314fc16f52ffe8fd2"),
     ("si --lambda 5e-07 --theory qed --format json", 0,
      "717ba28658075da50aaed77b39cabbf97cfe307ba5dbc6ea02b8f053524108d5"),
-    # The five verify entries below changed when the gauge shifts came to be
-    # drawn from random.Random(seed) instead of numpy's default_rng(seed):
-    # each output differs in its gauge deviation alone. Each old hash is in
-    # the comment above its entry.
-    # was c803ed8c8bdd4fdad43dd1ecdc27543c4de7fe84d7bfaad845c446fe3753e073
+    # The five verify entries below changed twice, and each output differs
+    # from the one before in the last digits of some deviations alone.
+    # - When the gauge shifts came to be drawn from random.Random(seed)
+    #   instead of numpy's default_rng(seed), the gauge deviation moved. The
+    #   hash before that change is the "first was" above each entry.
+    # - When contracted_vertex came to be built as minus the photons' stress
+    #   tensor, from the field strengths F = k ^ e, the diagram sums moved in
+    #   their last bits: 1420 of the 16000 elements of verify --samples 1000,
+    #   by at most 4.6e-16 of that angle's largest element. The default
+    #   gauge deviation fell from 1.29e-14 to 4.22e-15. The hash before that
+    #   change is the "then was" above each entry.
+    # The tests after GOLDEN check that no verdict, key or grid field moved.
+    # first was c803ed8c8bdd4fdad43dd1ecdc27543c4de7fe84d7bfaad845c446fe3753e073
+    # then was 65fb7be30f090309dfc7ab4d444e868d15f60d0eff15e6533f2ab0433e584db1
     ("verify", 0,
-     "65fb7be30f090309dfc7ab4d444e868d15f60d0eff15e6533f2ab0433e584db1"),
-    # was 3298c4ae9048fbed5dd37ad836dd907bcc841db5812acc5c3526405419d779a7
+     "0b45186fb8403070a52505b7e6ba47e31d8448ed6e81f71d9e03485ad87aab96"),
+    # first was 3298c4ae9048fbed5dd37ad836dd907bcc841db5812acc5c3526405419d779a7
+    # then was 4b43737c36d597c3d3a47efab62d0f3683f1d23c59bf94e943ca1b196409b8c7
     ("verify --format json", 0,
-     "4b43737c36d597c3d3a47efab62d0f3683f1d23c59bf94e943ca1b196409b8c7"),
+     "87383bd25392d39b8d3553463f9dae6901d0d719990db2b4b13e889fd622b22f"),
     # An earlier deliberate change: closed_form_grid now takes its powers with
     # np.float_power, so each row equals the one-angle value bit for bit, and the
     # round-off deviation this grid reports for 1221 and 2112 moves from
     # 3.5992170565184363e-16 to 3.0829255977364377e-16 (the hash before was
     # 7e726853b90caaf2265f8897b7be3c3e4e663fca233b2d011997aca59be689d2).
-    # was d3c8ac1e877d2877c0843e142c4bba5cb8527f6db34a558872dfa0e163228063
+    # first was d3c8ac1e877d2877c0843e142c4bba5cb8527f6db34a558872dfa0e163228063
+    # then was 5c4baa6a9a6cdf0ffc0ad924b975cc41d2016cde2c58cd3c9f8c8fe78c9f7b92
     ("verify --samples 9 --seed 3 --theta-min 0.2 --format json", 0,
-     "5c4baa6a9a6cdf0ffc0ad924b975cc41d2016cde2c58cd3c9f8c8fe78c9f7b92"),
-    # was 2dbcda5e5b9244de304eb5531a31bdbad390e97bbaaf1e6ce388da0f293b2d22
+     "b84143325c3a334c64faf788236f0278987f9fbd8134fdb0db389aa863b48963"),
+    # first was 2dbcda5e5b9244de304eb5531a31bdbad390e97bbaaf1e6ce388da0f293b2d22
+    # then was 19464f81b20359918dc4d49524adb05479f6ca9382354370f7422667cb3f3fac
     ("verify --perturb-vertex 1e-3", 1,
-     "19464f81b20359918dc4d49524adb05479f6ca9382354370f7422667cb3f3fac"),
-    # was cff09ec6a27a994f83c5012692565eb46f8ec54af0f835347600b0eb913ff9ea
+     "48a646aacb001d726f80dc33f6ea5a1b5a15bb8873a19ede623cf2e273bb15f6"),
+    # first was cff09ec6a27a994f83c5012692565eb46f8ec54af0f835347600b0eb913ff9ea
+    # then was 52253c4c8f9995616d5585d245887892b7e8004523a66b4207629a136b6d5370
     ("verify --perturb-vertex 1e-3 --format json", 1,
-     "52253c4c8f9995616d5585d245887892b7e8004523a66b4207629a136b6d5370"),
+     "e604363c841b32ac34ab144b227b5a61a79edeb9ebc96c0a4528dd75d4548c26"),
     # Tables above the fork threshold, captured from the single-process
     # writer; the 1e-80 grid puts inf in the first chunk of each cross-section
     # column.
@@ -150,6 +166,49 @@ def test_stdout_bytes(argv, code, digest):
     got_code, out = _stdout_of(argv)
     assert got_code == code
     assert hashlib.sha256(out).hexdigest() == digest, out.decode()[:2000]
+
+
+# What a verify entry keeps when its deviations move in their last digits.
+# For each JSON entry: passed, samples, theta_min and theta_max; every key,
+# both tolerances and the vanishing patterns are the same for all three.
+VERIFY_JSON_FIELDS = {
+    "verify --format json": (True, 100, 0.05, 3.0915926535897933),
+    "verify --samples 9 --seed 3 --theta-min 0.2 --format json":
+        (True, 9, 0.2, 3.0915926535897933),
+    "verify --perturb-vertex 1e-3 --format json": (False, 100, 0.05, 3.0915926535897933),
+}
+VERIFY_JSON_KEYS = ["command", "passed", "samples", "theta_min", "theta_max", "tolerance",
+                    "gauge_tolerance", "pattern_deviations", "identically_zero",
+                    "gauge_deviation"]
+IDENTICALLY_ZERO = ["1112", "1121", "1211", "1222", "2111", "2122", "2212", "2221"]
+# For each text entry: the rows that FAIL; every other row PASSes.
+VERIFY_TEXT_FAILURES = {
+    "verify": [],
+    "verify --perturb-vertex 1e-3": ["m_1122", "m_1212", "m_1221", "m_2112", "m_2121",
+                                     "m_2211", "m_2222", "gauge shifts:"],
+}
+
+
+@pytest.mark.parametrize("argv", VERIFY_JSON_FIELDS)
+def test_verify_json_keeps_verdict_and_fields(argv):
+    report = json.loads(_stdout_of(argv)[1])
+    assert list(report) == VERIFY_JSON_KEYS
+    assert (report["passed"], report["samples"], report["theta_min"],
+            report["theta_max"]) == VERIFY_JSON_FIELDS[argv]
+    assert report["tolerance"] == report["gauge_tolerance"] == 1e-9
+    assert list(report["pattern_deviations"]) == list(PATTERN_NAMES)
+    assert report["identically_zero"] == IDENTICALLY_ZERO
+
+
+@pytest.mark.parametrize("argv", VERIFY_TEXT_FAILURES)
+def test_verify_text_keeps_every_verdict(argv):
+    *rows, result = _stdout_of(argv)[1].decode().splitlines()[2:]
+    labels = [row.split(" max deviation")[0].strip() for row in rows]
+    assert labels == [f"m_{name}" for name in PATTERN_NAMES] + ["gauge shifts:"]
+    assert all(("  PASS" in row) != ("  FAIL" in row) for row in rows)
+    failed = [label for label, row in zip(labels, rows) if "  FAIL" in row]
+    assert failed == VERIFY_TEXT_FAILURES[argv]
+    assert result == f"result: {'FAIL' if failed else 'PASS'}"
 
 
 def _cli_run(argv: str, **env) -> subprocess.CompletedProcess:
