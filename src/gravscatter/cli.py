@@ -321,9 +321,7 @@ def _run_verify(args, parser):
     grid = _theta_grid(args, parser)
     if not math.isfinite(args.perturb_vertex):
         parser.error("--perturb-vertex must be finite")
-    if args.seed < 0:
-        parser.error("--seed must be non-negative")
-    return build_verify_report(grid, seed=args.seed, vertex_perturbation=args.perturb_vertex)
+    return build_verify_report(grid, vertex_perturbation=args.perturb_vertex)
 
 
 def _run_si(args, parser):
@@ -450,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--perturb-vertex", type=float, default=0.0,
                         help="rescale one vertex term by (1+x); a nonzero value "
                              "must make the gate fail")
-    verify.add_argument("--seed", type=int, default=20,
-                        help="seed of Python's random module for the gauge-shift "
-                             "draws (default %(default)s)")
+    # Accepted and ignored, for callers that still pass it; the gauge row
+    # draws nothing since it scores the Ward amplitude.
+    verify.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     _add_output_options(verify, formats=("text", "json"))
     verify.set_defaults(handler=_run_verify)
 

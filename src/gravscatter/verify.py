@@ -9,8 +9,6 @@ PASS or FAIL and whether the gate passed.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
 from .amplitudes import PATTERN_NAMES, channel_amplitudes, closed_form_grid, diagram_sum_grid
@@ -49,44 +47,39 @@ def _pattern_check(grid, vertex_perturbation):
     return {"pattern_deviations": deviations, "identically_zero": _ZERO_PATTERNS}, rows
 
 
-def _gauge_check(grid, vertex_perturbation, seed):
-    """How far a gauge shift moves the summed amplitude, relative to it.
+def _gauge_check(grid, vertex_perturbation):
+    """The largest change a gauge shift could make to the summed amplitude, relative to it.
 
-    At ten angles spanning the grid and for every non-vanishing pattern,
-    each photon's polarization in turn is shifted by xi times its momentum,
-    xi = -10 + 20 u in [-10, 10), with u drawn by ``random.Random(seed).random()``
-    in (angle, pattern, photon) order.
+    At ten angles spanning the grid and for every non-vanishing pattern P,
+    each photon j in turn has its polarization replaced by its momentum.
+    The amplitude is linear in each polarization, so shifting e_j by xi p_j
+    moves M(P) by exactly xi M(P; e_j -> p_j), the Ward amplitude. The score
+    10 |M(P; e_j -> p_j)| / |M(P)| bounds the relative change of any shift
+    with |xi| <= 10; without round-off the Ward amplitude is zero.
     """
-    # Python's random, not numpy's generators: loading those costs more time
-    # and memory than the gate's whole sweep, and Python keeps the random()
-    # sequence of a seed the same across versions.
-    draws = random.Random(seed)
-    shape = (_GAUGE_ANGLES, len(_NONZERO_LABELS), 4)
-    xi = -10.0 + 20.0 * np.array([draws.random() for _ in range(np.prod(shape))]).reshape(shape)
     # pols[angle, pattern, 0] holds the physical polarizations; entry j > 0
-    # shifts photon j's by xi * p_j.
+    # puts photon j's momentum in place of its polarization.
     angles = np.linspace(grid[0], grid[-1], _GAUGE_ANGLES)
     momenta, basis = com_arrays(angles)
     physical = basis[:, np.arange(4), _NONZERO_LABELS]
     pols = np.repeat(physical[:, :, None], 5, axis=2)
     for photon in range(4):
-        pols[:, :, photon + 1, photon] += xi[:, :, photon, None] * momenta[:, None, photon]
+        pols[:, :, photon + 1, photon] = momenta[:, None, photon]
     sums = channel_amplitudes(angles[:, None, None], np.moveaxis(pols, -2, 0),
                               vertex_perturbation=vertex_perturbation).sum(axis=-1)
-    base = sums[:, :, :1]
-    deviation = float(np.max(np.abs(sums[:, :, 1:] - base) / np.abs(base)))
+    deviation = float(np.max(10.0 * np.abs(sums[:, :, 1:]) / np.abs(sums[:, :, :1])))
     return {"gauge_deviation": deviation}, [("gauge shifts: max deviation", deviation,
                                              _GAUGE_TOLERANCE, "")]
 
 
-def build_verify_report(grid, *, seed: int, vertex_perturbation: float = 0.0) -> tuple[dict, str]:
+def build_verify_report(grid, *, vertex_perturbation: float = 0.0) -> tuple[dict, str]:
     """Run the gate on a 1-D array of angles: return its JSON fields and its text.
 
     The fields open with "passed", the grid's size and ends and the two
     tolerances, then each check's fields in order: the pattern deviations,
-    then the gauge shifts, whose amounts ``random.Random(seed)`` draws; each
-    check holds its own tolerance. ``vertex_perturbation`` is forwarded to
-    the vertex so the gate can demonstrate that it catches a broken vertex.
+    then the Ward amplitudes' score; each check holds its own tolerance.
+    ``vertex_perturbation`` is forwarded to the vertex so the gate can
+    demonstrate that it catches a broken vertex.
     """
     fields = {"passed": True, "samples": len(grid), "theta_min": float(grid[0]),
               "theta_max": float(grid[-1]), "tolerance": _TOLERANCE,
@@ -95,7 +88,7 @@ def build_verify_report(grid, *, seed: int, vertex_perturbation: float = 0.0) ->
              f"grid: {len(grid)} angles in [{grid[0]:.6g}, {grid[-1]:.6g}]; "
              f"tolerance {_TOLERANCE:g}, gauge tolerance {_GAUGE_TOLERANCE:g}"]
     for check_fields, rows in (_pattern_check(grid, vertex_perturbation),
-                               _gauge_check(grid, vertex_perturbation, seed)):
+                               _gauge_check(grid, vertex_perturbation)):
         fields.update(check_fields)
         for label, deviation, limit, note in rows:
             passed = deviation <= limit

@@ -14,11 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gravscatter import cli, verify
+from gravscatter.amplitudes import channel_amplitudes
 from gravscatter.cli import VERIFY_THETA_MAX, VERIFY_THETA_MIN, main
 from gravscatter.cross_sections import si_convert
+from gravscatter.kinematics import com_arrays
 from gravscatter.verify import build_verify_report
 
 GATE_GRID = np.linspace(VERIFY_THETA_MIN, VERIFY_THETA_MAX, 5)
@@ -212,7 +216,7 @@ class TestVerify:
         assert payload["gauge_deviation"] <= 1e-9
 
     def test_report_object(self):
-        report, _ = build_verify_report(GATE_GRID, seed=20)
+        report, _ = build_verify_report(GATE_GRID)
         assert report["passed"]
         assert set(report["identically_zero"]) == {
             "1112", "1121", "1211", "2111", "1222", "2122", "2212", "2221"}
@@ -220,26 +224,83 @@ class TestVerify:
             assert deviation <= 1e-9, name
 
     def test_gauge_round_off_on_the_default_grid(self):
-        # A vertex built from the field strengths keeps the unperturbed
-        # gauge sweep's round-off at 4.2e-15 on verify's own grid and seed;
-        # the hand-expanded block it replaced read 1.29e-14.
+        # A vertex built from the field strengths F = k ^ e gives F(p, p) = 0
+        # exactly, so the unperturbed Ward amplitude rounds to 0.0.
         grid = np.linspace(VERIFY_THETA_MIN, VERIFY_THETA_MAX, 100)
-        assert build_verify_report(grid, seed=20)[0]["gauge_deviation"] < 1e-14
+        assert build_verify_report(grid)[0]["gauge_deviation"] == 0.0
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_gauge_sweep_catches_a_small_perturbation(self, seed):
+    @given(ends=st.tuples(st.floats(1e-4, math.pi - 1e-4), st.floats(1e-4, math.pi - 1e-4)),
+           samples=st.integers(2, 50))
+    @settings(max_examples=50, deadline=None)
+    def test_ward_amplitude_is_zero_on_any_grid(self, ends, samples):
+        grid = np.linspace(min(ends), max(ends), samples)
+        assert build_verify_report(grid)[0]["gauge_deviation"] == 0.0
+
+    def test_gauge_sweep_catches_a_small_perturbation(self):
         # On the default grid a 1e-9 vertex perturbation stays within the
-        # pattern tolerance, so only the gauge row can catch it, on every seed.
+        # pattern tolerance, so only the gauge row can catch it.
         grid = np.linspace(VERIFY_THETA_MIN, VERIFY_THETA_MAX, 100)
-        assert build_verify_report(grid, seed=seed)[0]["passed"]
-        report, _ = build_verify_report(grid, seed=seed, vertex_perturbation=1e-9)
+        report, _ = build_verify_report(grid, vertex_perturbation=1e-9)
         assert report["gauge_deviation"] > report["gauge_tolerance"]
         assert max(report["pattern_deviations"].values()) <= report["tolerance"]
         assert not report["passed"]
 
+    @pytest.mark.parametrize("perturbation", [1e-12, -1e-12, 4e-10, -4e-10, 1e-9, 1e-3, -1e-3])
+    def test_gauge_score_is_linear_in_the_perturbation(self, perturbation):
+        # Unperturbed the Ward amplitude is 0.0, so the score is the
+        # perturbation term's alone: 2.6213 |x| on the default grid, to
+        # first order in x.
+        grid = np.linspace(VERIFY_THETA_MIN, VERIFY_THETA_MAX, 100)
+        report, _ = build_verify_report(grid, vertex_perturbation=perturbation)
+        assert report["gauge_deviation"] == pytest.approx(2.6213497 * abs(perturbation),
+                                                          rel=1e-3)
+        assert report["passed"] is (abs(perturbation) < 3e-10)
+
+    @pytest.mark.parametrize("perturbation", ["4e-10", "-4e-10"])
+    def test_gauge_row_alone_fails_a_4e_10_perturbation(self, perturbation, capsys):
+        # Every pattern row passes; the Ward score, 2.62 times the
+        # perturbation, does not.
+        assert main(["verify", f"--perturb-vertex={perturbation}"]) == 1
+        statuses = re.findall(r"max deviation \S+  (PASS|FAIL)", capsys.readouterr().out)
+        assert statuses == ["PASS"] * 16 + ["FAIL"]
+
+    @pytest.mark.parametrize("photon", range(4))
+    def test_score_bounds_every_shift_up_to_ten(self, photon):
+        # Each amplitude is linear in each polarization, so shifting e_j by
+        # xi p_j moves M(P) by xi times the Ward amplitude: with |xi| <= 10 no
+        # shift moves any pattern by more than the score.
+        grid = np.linspace(VERIFY_THETA_MIN, VERIFY_THETA_MAX, 100)
+        score = build_verify_report(grid, vertex_perturbation=1e-3)[0]["gauge_deviation"]
+        rng = np.random.default_rng(8 + photon)
+        angles = np.linspace(grid[0], grid[-1], verify._GAUGE_ANGLES)
+        for theta, momenta, basis in zip(angles, *com_arrays(angles)):
+            for labels in verify._NONZERO_LABELS:
+                pols = basis[np.arange(4), labels]
+                base = channel_amplitudes(theta, pols, vertex_perturbation=1e-3).sum()
+                for xi in rng.uniform(-10.0, 10.0, size=4):
+                    shifted = pols.copy()
+                    shifted[photon] += xi * momenta[photon]
+                    moved = channel_amplitudes(theta, shifted, vertex_perturbation=1e-3).sum()
+                    assert abs(moved - base) <= (score + 1e-13) * abs(base)
+
+    @pytest.mark.parametrize("seed", ["0", "3", "-1", str(2**64)])
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_seed_is_accepted_and_ignored(self, output, seed, capsys):
+        argv = ["verify", "--samples", "5", "--format", output]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--seed", seed]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_help_does_not_offer_seed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--help"])
+        assert excinfo.value.code == 0
+        options = re.findall(r"^  (-[-\w]+)", capsys.readouterr().out, flags=re.MULTILINE)
+        assert options == ["-h", "--theta-min", "--theta-max", "--samples",
+                           "--perturb-vertex", "--format", "--output"]
+
     @pytest.mark.parametrize("argv, code", [
-        (["--seed", "0"], 0),
-        (["--seed", str(2**64)], 0),  # no upper bound on the seed
         (["--samples", "2"], 0),
         (["--perturb-vertex", "-1"], 1),  # a zeroed vertex term fails the gate
     ])
@@ -250,7 +311,7 @@ class TestVerify:
     def test_tight_tolerance_can_fail(self, monkeypatch):
         monkeypatch.setattr(verify, "_TOLERANCE", 1e-17)
         monkeypatch.setattr(verify, "_GAUGE_TOLERANCE", 1e-17)
-        report, _ = build_verify_report(GATE_GRID, seed=20)
+        report, _ = build_verify_report(GATE_GRID)
         assert not report["passed"]
 
     @pytest.mark.parametrize("constant", ["_TOLERANCE", "_GAUGE_TOLERANCE"])
@@ -258,18 +319,20 @@ class TestVerify:
         """A largest deviation equal to its tolerance passes; one ulp less tolerance fails.
 
         Either way the JSON "passed", the result line and every row's status
-        agree with deviation <= tolerance.
+        agree with deviation <= tolerance. The unperturbed gauge score is 0.0,
+        so its case runs on a vertex perturbed by 1e-12.
         """
+        perturbation = 1e-12 if constant == "_GAUGE_TOLERANCE" else 0.0
         monkeypatch.setattr(verify, "_TOLERANCE", math.inf)
         monkeypatch.setattr(verify, "_GAUGE_TOLERANCE", math.inf)
-        report, _ = build_verify_report(GATE_GRID, seed=20)
+        report, _ = build_verify_report(GATE_GRID, vertex_perturbation=perturbation)
         largest = (max(report["pattern_deviations"].values()) if constant == "_TOLERANCE"
                    else report["gauge_deviation"])
         assert largest > 0.0
         # A Python float: an np.float64 limit would make each row's verdict an np.bool_.
         for tolerance, passed in ((largest, True), (float(np.nextafter(largest, 0.0)), False)):
             monkeypatch.setattr(verify, constant, tolerance)
-            report, text = build_verify_report(GATE_GRID, seed=20)
+            report, text = build_verify_report(GATE_GRID, vertex_perturbation=perturbation)
             rows = [deviation <= report["tolerance"]
                     for deviation in report["pattern_deviations"].values()]
             rows.append(report["gauge_deviation"] <= report["gauge_tolerance"])
@@ -342,8 +405,6 @@ class TestUnevaluableInputs:
         (["qed-scan", "--theta-min", "0"], "need 0 < --theta-min < --theta-max < pi"),
         (["dcs-scan", "--theta-max", "3.141592653589793"],
          "need 0 < --theta-min < --theta-max < pi"),
-        (["verify", "--seed", "-1"], "--seed must be non-negative"),
-        (["verify", "--seed=-1", "--format", "json"], "--seed must be non-negative"),
         (["verify", "--samples", "1"], "--samples must be at least 2"),
         (["verify", "--theta-max", "4"], "need 0 < --theta-min < --theta-max < pi"),
         (["si", "--lambda", "inf"], "--lambda must be finite and positive"),

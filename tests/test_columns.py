@@ -473,6 +473,6 @@ def test_json_kernel_loads_only_for_json_arrays(argv, loaded):
 
 
 def test_verify_does_not_load_numpy_random():
-    # The gauge sweep draws its shifts with Python's random: numpy.random
-    # would cost more time and memory than the whole sweep.
+    # The gate draws nothing at random; loading numpy.random would cost
+    # more time and memory than its whole gauge row.
     assert _loaded_by_cli_import(["numpy.random"], ["verify", "--samples", "5"]) == "[]"

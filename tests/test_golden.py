@@ -2,8 +2,8 @@
 
 Each entry holds the exit code and the sha256 of the stdout bytes captured
 from the row-at-a-time implementation that preceded the columnar scans.
-Only the five verify entries have changed since, each twice and one of them
-a third time, and they say why next to them.
+Only the five verify entries have changed since, each three times and one
+of them a fourth time, and they say why next to them.
 A changed last digit anywhere in a table changes the hash. The matrix covers
 every scan in CSV and JSON, every unit choice, grids that reach 1e-7 from
 both poles, the overflow rows near theta = 1e-80 and 1e-160, non-default
@@ -101,8 +101,9 @@ GOLDEN = [
      "8bd1b02e5d092b6d2d9bf9fe1bb59e8bb7d823d20b0ac8b314fc16f52ffe8fd2"),
     ("si --lambda 5e-07 --theory qed --format json", 0,
      "717ba28658075da50aaed77b39cabbf97cfe307ba5dbc6ea02b8f053524108d5"),
-    # The five verify entries below changed twice, and each output differs
-    # from the one before in the last digits of some deviations alone.
+    # The five verify entries below changed three times. The first two times
+    # each output differed from the one before in the last digits of some
+    # deviations alone; the third time only the gauge deviation moved.
     # - When the gauge shifts came to be drawn from random.Random(seed)
     #   instead of numpy's default_rng(seed), the gauge deviation moved. The
     #   hash before that change is the "first was" above each entry.
@@ -112,15 +113,25 @@ GOLDEN = [
     #   by at most 4.6e-16 of that angle's largest element. The default
     #   gauge deviation fell from 1.29e-14 to 4.22e-15. The hash before that
     #   change is the "then was" above each entry.
+    # - When the gauge row came to score the Ward amplitude, each photon's
+    #   polarization replaced by its momentum, instead of drawn shifts, the
+    #   gauge deviation became 10 |M(P; e_j -> p_j)| / |M(P)|: exactly 0.0
+    #   unperturbed (was 4.22e-15 on the default grid and 3.55e-15 on the
+    #   9-angle one), 2.62e-3 at --perturb-vertex 1e-3 (was 2.12e-3). No
+    #   other byte moved. The hash before that change is the "last was"
+    #   above each entry. --seed is now accepted and ignored; the 9-angle
+    #   entry keeps it, and a test below checks it changes no byte.
     # The tests after GOLDEN check that no verdict, key or grid field moved.
     # first was c803ed8c8bdd4fdad43dd1ecdc27543c4de7fe84d7bfaad845c446fe3753e073
     # then was 65fb7be30f090309dfc7ab4d444e868d15f60d0eff15e6533f2ab0433e584db1
+    # last was 0b45186fb8403070a52505b7e6ba47e31d8448ed6e81f71d9e03485ad87aab96
     ("verify", 0,
-     "0b45186fb8403070a52505b7e6ba47e31d8448ed6e81f71d9e03485ad87aab96"),
+     "e3c157fe948ed28f30078dbbd8067f59d886ccf80fee378665d4187b406ac4a1"),
     # first was 3298c4ae9048fbed5dd37ad836dd907bcc841db5812acc5c3526405419d779a7
     # then was 4b43737c36d597c3d3a47efab62d0f3683f1d23c59bf94e943ca1b196409b8c7
+    # last was 87383bd25392d39b8d3553463f9dae6901d0d719990db2b4b13e889fd622b22f
     ("verify --format json", 0,
-     "87383bd25392d39b8d3553463f9dae6901d0d719990db2b4b13e889fd622b22f"),
+     "e76b6243e052d719961a4bfbdf0df05bad1252ea1a4f9ae2ef5dbb30aff1b14f"),
     # An earlier deliberate change: closed_form_grid now takes its powers with
     # np.float_power, so each row equals the one-angle value bit for bit, and the
     # round-off deviation this grid reports for 1221 and 2112 moves from
@@ -128,16 +139,19 @@ GOLDEN = [
     # 7e726853b90caaf2265f8897b7be3c3e4e663fca233b2d011997aca59be689d2).
     # first was d3c8ac1e877d2877c0843e142c4bba5cb8527f6db34a558872dfa0e163228063
     # then was 5c4baa6a9a6cdf0ffc0ad924b975cc41d2016cde2c58cd3c9f8c8fe78c9f7b92
+    # last was b84143325c3a334c64faf788236f0278987f9fbd8134fdb0db389aa863b48963
     ("verify --samples 9 --seed 3 --theta-min 0.2 --format json", 0,
-     "b84143325c3a334c64faf788236f0278987f9fbd8134fdb0db389aa863b48963"),
+     "feb2960f72df4f0db93c09a588025233f70528e7066bd253b659c49121895607"),
     # first was 2dbcda5e5b9244de304eb5531a31bdbad390e97bbaaf1e6ce388da0f293b2d22
     # then was 19464f81b20359918dc4d49524adb05479f6ca9382354370f7422667cb3f3fac
+    # last was 48a646aacb001d726f80dc33f6ea5a1b5a15bb8873a19ede623cf2e273bb15f6
     ("verify --perturb-vertex 1e-3", 1,
-     "48a646aacb001d726f80dc33f6ea5a1b5a15bb8873a19ede623cf2e273bb15f6"),
+     "d545dee2ef69a86c1f7c04aa54e39f1a967d4e261ff8d046f1de3e337d9d9c56"),
     # first was cff09ec6a27a994f83c5012692565eb46f8ec54af0f835347600b0eb913ff9ea
     # then was 52253c4c8f9995616d5585d245887892b7e8004523a66b4207629a136b6d5370
+    # last was e604363c841b32ac34ab144b227b5a61a79edeb9ebc96c0a4528dd75d4548c26
     ("verify --perturb-vertex 1e-3 --format json", 1,
-     "e604363c841b32ac34ab144b227b5a61a79edeb9ebc96c0a4528dd75d4548c26"),
+     "375e2c1eb2897b4efdc04a47d2c6049e2ebd4043dae98afaa2222103d86408b2"),
     # Tables above the fork threshold, captured from the single-process
     # writer; the 1e-80 grid puts inf in the first chunk of each cross-section
     # column.
@@ -200,6 +214,12 @@ def test_verify_json_keeps_verdict_and_fields(argv):
     assert report["identically_zero"] == IDENTICALLY_ZERO
 
 
+def test_verify_golden_seed_changes_no_byte():
+    # verify accepts --seed and ignores it: the gauge row draws nothing.
+    argv = "verify --samples 9 --seed 3 --theta-min 0.2 --format json"
+    assert _stdout_of(argv) == _stdout_of(argv.replace(" --seed 3", ""))
+
+
 @pytest.mark.parametrize("argv", VERIFY_TEXT_FAILURES)
 def test_verify_text_keeps_every_verdict(argv):
     *rows, result = _stdout_of(argv)[1].decode().splitlines()[2:]
@@ -228,9 +248,10 @@ def test_subprocess_stdout_matches():
 
 
 def test_subprocess_verify_matches():
-    # The one command that runs @ and einsum over a large batch, in a child
-    # that loads OpenBLAS with one thread, as importing gravscatter before
-    # numpy does, and in one with two.
+    # The one command that contracts a large batch, in a child that loads
+    # OpenBLAS with one thread, as importing gravscatter before numpy does,
+    # and in one with two. Every contraction is an einsum, so the thread
+    # count must not move a bit.
     argv = "verify --samples 1000 --format json"
     expected = _stdout_of(argv)[1]
     for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):

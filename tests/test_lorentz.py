@@ -66,6 +66,18 @@ class TestMinkowskiDot:
         terms = np.sum(np.abs(a * c)) + abs(scale) * np.sum(np.abs(b * c))
         assert abs(left - right) <= 16 * np.finfo(float).eps * terms + np.finfo(float).tiny
 
+    def test_sums_left_to_right_bit_for_bit(self):
+        # Summed by einsum, not handed to OpenBLAS, whose order follows the
+        # CPU core: a product must not depend on the machine.
+        rng = np.random.default_rng(55)
+        a, b = rng.normal(size=(2, 1000, 4))
+        left_to_right = a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1] - a[:, 2] * b[:, 2] \
+            - a[:, 3] * b[:, 3]
+        assert np.array_equal(minkowski_dot(a, b), left_to_right)
+        singles = [minkowski_dot(x, y) for x, y in zip(a, b)]
+        assert all(type(single) is np.float64 for single in singles)
+        assert np.array_equal(singles, left_to_right)
+
     def test_metric_contraction_reproduces_dot(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
