@@ -2,19 +2,26 @@
 
 json_values(sep, chunk) returns exactly
 ``json.dumps(chunk.tolist(), separators=(sep, ": "))[1:-1]``: each value as
-``float.__repr__`` spells it (``NaN``, ``Infinity`` and ``-Infinity`` for the
-non-finite ones), each followed by ``sep`` but the last. repr prints the
-shortest digits that read back as the same float, nearest the exact value,
-ties to even. They are found here with the 64-bit integer arithmetic of
-Ryu's ``d2s`` (Ulf Adams, "Ryu: fast float-to-string conversion", PLDI
-2018), over whole arrays. The few values whose Ryu branch needs an exact
-test by a power of five, magnitudes from 2^50 to 2^131, take repr's own
-digits one at a time. json.dumps stays the reference:
-tests/test_columns.py compares the two on a million random bit patterns and
-on an edge list.
+``float.__repr__`` spells it, each followed by ``sep`` but the last. repr
+prints the shortest digits that read back as the same float, nearest the
+exact value, ties to even. For a chunk whose every value lies below 2^50 in
+magnitude they are found here with the 64-bit integer arithmetic of Ryu's
+``d2s`` (Ulf Adams, "Ryu: fast float-to-string conversion", PLDI 2018), over
+whole arrays. There Ryu's binary exponent is -5 or less, so one branch of
+its arithmetic serves every value, and every value is spelled in fixed
+notation or with a negative exponent. Any other chunk, one holding a value
+of 2^50 or more, an infinity or a NaN, is spelled by json.dumps itself.
+Every table of the default grids stays on the kernel; a table reaches
+json.dumps only near a pole (reduced cross sections within about 5e-4 of
+one, amplitudes within about 1.2e-7), for QED cross sections at wavelengths
+below about 2e-21 m, or for phases of 2^50 or more. json.dumps stays the
+reference: tests/test_columns.py compares the two on random bit patterns,
+in and out of the kernel's domain, and on an edge list.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -27,26 +34,20 @@ _POW10 = np.array([10 ** k for k in range(20)], dtype=_U)
 _BODY, _EXP, _WIDTH = 1, 23, 28
 
 
-def _terms(ex: int) -> tuple[tuple[int, ...], tuple[int, int]]:
-    """Ryu's quantities for the biased exponent ``ex``, from Python ints.
+def _terms(ex: int) -> tuple[int, ...]:
+    """Ryu's quantities for the biased exponent ``ex`` below 1073, from Python ints.
 
-    Returns the four 32-bit limbs of the multiplier (below 2^126), the shift
-    s past 64 bits, 64 - s and the exponent of the power of two whose
-    multiples have an exact vr (63 where none has); then the decimal
-    exponent of vr and whether the value needs repr's digits.
+    The binary exponent e2 is then -5 or less. Returns the four 32-bit limbs
+    of the multiplier (below 2^126), the shift s past 64 bits, 64 - s, the
+    exponent of the power of two whose multiples have an exact vr (63 where
+    none has), and minus the decimal exponent of vr, which is negative.
     """
     e2 = max(ex, 1) - 1077
-    if e2 >= 0:
-        q = (e2 * 78913 >> 18) - (e2 > 3)  # floor(e2 log10 2), less one above 3
-        k = (5 ** q).bit_length() - 1 + 125
-        mul, shift, e10, tz_bits, exact = (1 << k) // 5 ** q + 1, k + q - e2, q, 63, q <= 21
-    else:
-        q = (-e2 * 732923 >> 20) - (-e2 > 1)  # floor(-e2 log10 5), less one above 1
-        p5 = 5 ** (-e2 - q)
-        mul, shift = (p5 << 125) >> p5.bit_length(), q - p5.bit_length() + 125
-        e10, tz_bits, exact = q + e2, min(q, 63), q <= 1
+    q = (-e2 * 732923 >> 20) - 1  # floor(-e2 log10 5), less one
+    p5 = 5 ** (-e2 - q)
+    mul, shift = (p5 << 125) >> p5.bit_length(), q - p5.bit_length() + 125
     limbs = tuple(mul >> 32 * j & 0xFFFFFFFF for j in range(4))
-    return limbs + (shift - 64, 128 - shift, tz_bits), (e10, exact)
+    return limbs + (shift - 64, 128 - shift, min(q, 63), -e2 - q)
 
 
 def _mul_shift(m: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -67,30 +68,16 @@ def _mul_shift(m: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (((words[2] << _U(32)) | words[1]) >> u[4]) | (acc << u[5])
 
 
-def _shortest(x: float) -> tuple[int, int]:
-    """(d, e) with abs(x) == d * 10^e in repr's digits, d without trailing zeros."""
-    mantissa, _, exponent = repr(abs(x)).partition("e")
-    whole, _, fraction = mantissa.partition(".")
-    d, e = int(whole + fraction), int(exponent or 0) - len(fraction)
-    while d % 10 == 0:
-        d, e = d // 10, e + 1
-    return d, e
-
-
 def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The shortest digits of finite nonzero values, as an integer and its power of ten."""
+    """The shortest digits of nonzero values below 2^50, as an integer and its power of ten."""
     bits = values.view(_U)
     ex = ((bits >> _U(52)) & _U(0x7FF)).astype(np.intp)
     frac = bits & _U((1 << 52) - 1)
     # Ryu's quantities for each exponent in the chunk, then for each value.
     exps = np.flatnonzero(np.bincount(ex, minlength=1))
-    terms = [_terms(e) for e in exps.tolist()]
     column = np.zeros(0x7FF, np.intp)
     column[exps] = np.arange(len(exps))
-    column = column[ex]
-    u = np.take(np.array([t[0] for t in terms], _U).reshape(-1, 7).T, column, axis=1)
-    e10, exact = np.take(np.array([t[1] for t in terms], np.int64).reshape(-1, 2).T, column,
-                         axis=1)
+    *u, minus_e10 = np.take(np.array([_terms(e) for e in exps.tolist()], _U).T, column[ex], axis=1)
     # Four times the mantissa, and the ends of its rounding interval: the
     # lower end is closer where the mantissa is a power of two.
     mv = (frac | (ex > 0) * _U(1 << 52)) << _U(2)
@@ -112,10 +99,7 @@ def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # of exactly one half rounds to even. Where nothing is removed, half = 0 < p.
     tie = (half == p) & ((mv & ((_U(1) << u[6]) - _U(1))) == 0) & (out % _U(2) == 0)
     out += (out == vm // p) | ((half >= p) & ~tie)
-    e = e10 + removed
-    for i in np.flatnonzero(exact).tolist():
-        out[i], e[i] = _shortest(float(values[i]))
-    return out, e
+    return out, removed - minus_e10.astype(np.int64)
 
 
 def json_values(sep: str, chunk: np.ndarray) -> str:
@@ -126,14 +110,16 @@ def json_values(sep: str, chunk: np.ndarray) -> str:
     """
     if chunk.dtype != np.float64:
         raise TypeError(f"json_values takes float64 values, not {chunk.dtype}")
+    if not np.all(np.abs(chunk) < 2.0 ** 50):
+        return json.dumps(chunk.tolist(), separators=(sep, ": "))[1:-1]
     n, tail = len(chunk), np.frombuffer(sep.encode(), np.uint8)
-    regular = np.isfinite(chunk) & (chunk != 0.0)
+    regular = chunk != 0.0
     out, e = np.zeros(n, _U), np.zeros(n, np.int64)
     if regular.any():
         out[regular], e[regular] = _digits(chunk[regular])
     digits = np.maximum(np.searchsorted(_POW10, out, side="right"), 1)
     decpt = e + digits  # where the point goes, counted from the first digit
-    fixed = (decpt > -4) & (decpt <= 16)
+    fixed = decpt > -4  # below 2^50, decpt is at most 16
     # Text is built one place per row, one value per column, and transposed
     # at the end. The body: a NUL, four places for the zeros of 0.000ddd,
     # then the 17 digits left-aligned, then a NUL. The digits are spelled
@@ -159,17 +145,13 @@ def json_values(sep: str, chunk: np.ndarray) -> str:
     text[0] = (chunk.view(_U) >> _U(63)) * _U(ord("-"))
     text[_BODY:_EXP] = body[:22] + (body[1:] - body[:22]) * (np.arange(22)[:, None] < point)
     text[_BODY + point, np.arange(n)] = (fixed | (digits > 1)) * ord(".")
-    # The exponent of the scientific rows.
-    power = np.abs(decpt - 1)
-    text[_EXP] = ord("e")
-    text[_EXP + 1] = np.where(decpt < 1, ord("-"), ord("+"))
+    # The exponent of the scientific rows, all below 1e-4.
+    power = 1 - decpt
+    text[_EXP:_EXP + 2] = np.frombuffer(b"e-", np.uint8)[:, None]
     text[_EXP + 2] = (power // 100 + ord("0")) * (power >= 100)
     text[_EXP + 3] = power // 10 % 10 + ord("0")
     text[_EXP + 4] = power % 10 + ord("0")
     text[_EXP:_WIDTH] *= ~fixed
     text[_WIDTH:, :-1] = tail[:, None]
-    for word, where in ((b"NaN", np.isnan(chunk)), (b"Infinity", chunk == np.inf),
-                        (b"-Infinity", chunk == -np.inf)):
-        text[:_WIDTH, where] = np.frombuffer(word.ljust(_WIDTH, b"\0"), np.uint8)[:, None]
     # Places that are NUL in every value need not be transposed.
     return text[text.any(axis=1)].T.tobytes().translate(None, b"\0").decode()

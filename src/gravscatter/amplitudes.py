@@ -47,11 +47,6 @@ __all__ = [
 # the flattened order of the last four axes.
 PATTERN_NAMES = tuple(map("".join, itertools.product("12", repeat=4)))
 
-# The conventional diagram rule carries an overall minus sign; evaluated as
-# written it reproduces the negative of the reference element table, so the
-# reduced amplitudes here use +1. See ERRATA.md.
-_DIAGRAM_SIGN = 1.0
-
 # Angles per kernel call in diagram_sum_grid. An angle holds four 4x4 blocks
 # per vertex plus temporaries, a few kB, so a chunk stays well under 1 MB
 # however long the grid is.
@@ -111,11 +106,12 @@ def contracted_vertex(p_out, p_in, eps_out, eps_in, *,
     """
     q, p, e, f = (np.asarray(v, dtype=np.float64) for v in (p_out, p_in, eps_out, eps_in))
     x = np.einsum("...ma,a,...na->...mn", _field_strength(q, e), _ETA, _field_strength(p, f))
-    weight = float(perturbation) * minkowski_dot(q, p)
     # Build half of B, then add its transpose once: the block comes out
     # exactly symmetric.
     half = (0.25 * _trace(x))[..., None, None] * METRIC - x
-    half -= (e * _ETA)[..., :, None] * (weight[..., None] * f * _ETA)[..., None, :]
+    if perturbation:
+        weight = float(perturbation) * minkowski_dot(q, p)
+        half -= (e * _ETA)[..., :, None] * (weight[..., None] * f * _ETA)[..., None, :]
     return half + np.swapaxes(half, -1, -2)
 
 
@@ -179,7 +175,7 @@ def channel_amplitudes(theta, polarizations, *,
             contracted_vertex(momenta[out], momenta[into], polarizations[out],
                               polarizations[into], perturbation=vertex_perturbation)
             for out, into in vertices)
-        amplitudes.append(_DIAGRAM_SIGN * graviton_coupling(block1, block2) / q2)
+        amplitudes.append(graviton_coupling(block1, block2) / q2)
     return np.stack(amplitudes, axis=-1)
 
 

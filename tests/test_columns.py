@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from gravscatter.amplitudes import (
     closed_form_grid,
     diagram_sum_grid,
 )
-from gravscatter import cli
+from gravscatter import _json_floats, cli
 from gravscatter._json_floats import json_values
 from gravscatter.cli import _csv_pieces, _json_pieces, _render
 from gravscatter.coincidence import coincidence_factor
@@ -306,15 +307,22 @@ def test_json_writer_matches_json_dumps(payload):
     assert _json_text(payload) == json.dumps(_plain(payload), indent=2)
 
 
-# Where repr's spelling changes: signed zeros, the subnormal and normal
-# ends, 2^53 and its neighbours, the switch between fixed and scientific
-# notation at 1e16 and below 1e-4, and three-digit exponents.
-EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.225073858507201e-308,
-         2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
-         2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 1e-4, 1e-5, 1e-100, 1e100, -1.5e-101,
-         1e-99, 1e99, 1.2345e-300, 9.87e250,
-         *(x for p in (1e15, 1e16, 1e17) for x in (math.nextafter(p, 0.0), p,
-                                                   math.nextafter(p, math.inf)))]
+# Where repr's spelling changes below 2^50, the numpy kernel's domain:
+# signed zeros, the subnormal and normal ends, the largest float below 2^50,
+# 1e15 and its neighbours, the switch to scientific notation below 1e-4,
+# and three-digit exponents.
+KERNEL_EDGES = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                math.nextafter(2.0 ** 50, 0.0), 1e-4, 1e-5, 1e-100, -1.5e-101, 1e-99,
+                1.2345e-300, math.nextafter(1e15, 0.0), 1e15, math.nextafter(1e15, math.inf)]
+# And from 2^50 up, where json.dumps spells the chunk: 2^50, 2^53 and its
+# neighbours, the switch to scientific notation at 1e16, the largest floats
+# and the non-finite values.
+FALLBACK_EDGES = [2.0 ** 50, math.inf, -math.inf, math.nan, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 1e100,
+                  1e99, 9.87e250,
+                  *(x for p in (1e16, 1e17) for x in (math.nextafter(p, 0.0), p,
+                                                      math.nextafter(p, math.inf)))]
+EDGES = KERNEL_EDGES + FALLBACK_EDGES
 
 
 def test_json_writer_spells_non_finite_values_like_json():
@@ -336,6 +344,68 @@ def test_json_values_equal_json_dumps_on_random_bit_patterns():
     for start in range(0, len(values), 4096):
         chunk = values[start:start + 4096]
         assert json_values(", ", chunk) == json.dumps(chunk.tolist())[1:-1], start
+
+
+@pytest.fixture
+def kernel_only(monkeypatch):
+    """json_values with its json.dumps fallback turned into a failure."""
+    def fall_back(*args, **kwargs):
+        raise AssertionError("a chunk below 2^50 fell back to json.dumps")
+
+    monkeypatch.setattr(_json_floats, "json", SimpleNamespace(dumps=fall_back))
+
+
+def _reference(chunk, sep=", "):
+    return json.dumps(chunk.tolist(), separators=(sep, ": "))[1:-1]
+
+
+def test_json_kernel_spells_random_bit_patterns_below_2_50(kernel_only):
+    # Every exponent field below 1073, that is every magnitude below 2^50,
+    # with random sign and mantissa bits, then the round values below 2^50
+    # and their neighbours. No chunk may leave the kernel.
+    rng = np.random.default_rng(21)
+    sign, exponent, mantissa = (rng.integers(0, end, 10 ** 6, dtype=np.uint64)
+                                for end in (2, 1073, 2 ** 52))
+    bits = sign << np.uint64(63) | exponent << np.uint64(52) | mantissa
+    round_values = np.concatenate([
+        np.arange(2.0 ** 16 + 1),
+        [float(f"{k}e{j}") for k in range(1, 100) for j in range(-20, 15)]])
+    round_values = round_values[round_values < 2.0 ** 50]
+    values = np.concatenate([bits.view(np.float64), round_values,
+                             np.nextafter(round_values, -math.inf),
+                             np.nextafter(round_values, math.inf)])
+    assert np.all(np.abs(values) < 2.0 ** 50)
+    for start in range(0, len(values), 4096):
+        chunk = values[start:start + 4096]
+        assert json_values(", ", chunk) == _reference(chunk), start
+
+
+def test_json_kernel_spells_the_edges_below_2_50(kernel_only):
+    chunk = np.array(KERNEL_EDGES)
+    assert json_values(", ", chunk) == _reference(chunk)
+    for value in KERNEL_EDGES:
+        pair = np.array([value, -value])
+        assert json_values(", ", pair) == _reference(pair)
+
+
+@pytest.mark.parametrize("value", FALLBACK_EDGES)
+@pytest.mark.parametrize("where", [0, 7, -1])
+def test_one_value_from_2_50_up_sends_its_chunk_to_json_dumps(monkeypatch, value, where):
+    # One value from 2^50 up, an infinity or a NaN among values the kernel
+    # spells: json.dumps spells the whole chunk, in the kernel's layout.
+    # The kernel's arithmetic holds below 2^50, where Ryu's binary exponent
+    # is -5 or less; 2^50 itself must already fall back.
+    calls = []
+
+    def dumps(*args, **kwargs):
+        calls.append(args)
+        return json.dumps(*args, **kwargs)
+
+    monkeypatch.setattr(_json_floats, "json", SimpleNamespace(dumps=dumps))
+    chunk = np.array(KERNEL_EDGES)
+    chunk[where] = value
+    assert json_values(",\n  ", chunk) == _reference(chunk, ",\n  ")
+    assert len(calls) == 1
 
 
 def test_json_values_take_float64_only():
