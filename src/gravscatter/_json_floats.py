@@ -17,89 +17,176 @@ one, amplitudes within about 1.2e-7), for QED cross sections at wavelengths
 below about 2e-21 m, or for phases of 2^50 or more. json.dumps stays the
 reference: tests/test_columns.py compares the two on random bit patterns,
 in and out of the kernel's domain, and on an edge list.
+
+The text of a value is built in 64-bit words, eight ASCII places each, the
+first place in the low byte, with NUL in every place not shown; the NULs
+are deleted from the whole job's bytes at the end.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 
 _U = np.uint64
-_M32 = _U(0xFFFFFFFF)
 _POW10 = np.array([10 ** k for k in range(20)], dtype=_U)
-# The places of a value's text: the sign; four for the zeros of 0.000ddd
-# and 17 for the digits, with one for the point put in among them; "e",
-# the exponent's sign and three digits; then the separator.
-_BODY, _EXP, _WIDTH = 1, 23, 28
+# Ryu's quantities for each biased exponent below 1073, one column each,
+# filled on first use (see _terms); a column not yet filled is all zero.
+_TERMS = np.zeros((9, 1073), _U)
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The text's tables, built on first use: layouts, exponents and quads.
+
+    Column 21 digits + max(decpt, -4) of the layouts holds, for a value
+    of ``digits`` digits whose point comes ``decpt`` places after the first
+    (-4 stands for every scientific value): the power of ten that
+    left-aligns the digits in 17 places; the one that puts a "0" in at
+    place ``point``, which turns into the point: after the integral part,
+    after the first digit in scientific notation, and past the digits shown
+    where 0.000ddd has its point in the prefix; the prefix word, "0.000" cut
+    to its places; then the three body words that take 2 from place
+    ``point``, which turns its "0" into ".", and the three that keep the
+    first ``shown`` places: an integral value shows its zeros and one after
+    the point. Exponent word decpt + 323 is "e-" and the exponent's digits,
+    from place 18, and 0 for a value in fixed notation. Quad k is the ASCII
+    of k < 10^4 in four places.
+    """
+    layouts = []
+    for digits, decpt in ((key // 21, key % 21 - 4) for key in range(4, 21 * 18)):
+        point = decpt if decpt > 0 else 17 if decpt > -4 else 1
+        shown = max(digits, decpt + 1) + 1 if decpt > 0 else digits + (decpt == -4 and digits > 1)
+        prefix = 0x3030302E3000 & (1 << 24 - 8 * decpt) - 1 if -4 < decpt <= 0 else 0
+        words = [x >> 64 * j & 2 ** 64 - 1 for x in (2 << 8 * point, (1 << 8 * shown) - 1)
+                 for j in range(3)]
+        layouts.append([10 ** (17 - digits), 10 ** (17 - point), prefix, *words])
+    exponents = [int.from_bytes(b"\0\0e-%02d" % (1 - d), "little") for d in range(-323, -3)]
+    quads = sum((np.arange(10 ** 4) // 10 ** (3 - j) % 10 + 48) << 8 * j for j in range(4))
+    return np.array(layouts, _U).T.copy(), np.array(exponents + [0] * 20, _U), quads.astype(_U)
 
 
 def _terms(ex: int) -> tuple[int, ...]:
     """Ryu's quantities for the biased exponent ``ex`` below 1073, from Python ints.
 
     The binary exponent e2 is then -5 or less. Returns the four 32-bit limbs
-    of the multiplier (below 2^126), the shift s past 64 bits, 64 - s, the
-    exponent of the power of two whose multiples have an exact vr (63 where
-    none has), and minus the decimal exponent of vr, which is negative.
+    of the multiplier mul, shifted so that every exponent divides its
+    products by 2^121 (it is below 2^128); the mask of the bits below the
+    power of two whose multiples have an exact vr (2^63 where none has);
+    minus the decimal exponent of vr, which is negative; then 2 mul as
+    A 2^121 + rest: A, and the bits from 2^96 up of 2^121 - rest and of rest.
     """
     e2 = max(ex, 1) - 1077
     q = (-e2 * 732923 >> 20) - 1  # floor(-e2 log10 5), less one
     p5 = 5 ** (-e2 - q)
-    mul, shift = (p5 << 125) >> p5.bit_length(), q - p5.bit_length() + 125
-    limbs = tuple(mul >> 32 * j & 0xFFFFFFFF for j in range(4))
-    return limbs + (shift - 64, 128 - shift, min(q, 63), -e2 - q)
+    mul = (p5 << 125) >> p5.bit_length() << (p5.bit_length() - q - 4)
+    rest = 2 * mul & 2 ** 121 - 1
+    return (*(mul >> 32 * j & 0xFFFFFFFF for j in range(4)), (1 << min(q, 63)) - 1, -e2 - q,
+            2 * mul >> 121, 2 ** 121 - rest >> 96, rest >> 96)
 
 
-def _mul_shift(m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """floor(m * mul / 2^(64 + s)) for m < 2^56, where u holds, for each value,
-    the four 32-bit limbs b of mul, then s and 64 - s.
+def _mul_shift(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(m * mul / 2^121) and the bits of m * mul from 2^96 to 2^121, for m < 2^56.
 
-    The product is summed in 32-bit columns of uint64 arrays; before column
-    j is complete, ``acc`` holds the carry and the high half of a0 * b[j - 1].
+    b holds the 32-bit limbs of mul < 2^128. The product is summed in 32-bit
+    columns; before column j is complete, ``acc`` holds the carry and the
+    high half of a0 * b[j - 1]. Column 3 ends at bit 128: its low 25 bits
+    are the second result, and what lies above it, a1 * b[3] and the high
+    half of a0 * b[3], is multiplied by 2^7.
     """
-    a0, a1 = m & _M32, m >> _U(32)
-    acc, words = a0 * u[0] >> _U(32), []
+    a0, a1 = m & _U(2 ** 32 - 1), m >> _U(32)
+    acc = a0 * b[0] >> _U(32)
     for j in (1, 2, 3):
-        product = a0 * u[j]
-        acc += (product & _M32) + a1 * u[j - 1]
-        words.append(acc & _M32)
-        acc = (acc >> _U(32)) + (product >> _U(32))
-    acc += a1 * u[3]
-    return (((words[2] << _U(32)) | words[1]) >> u[4]) | (acc << u[5])
+        product = a0 * b[j]
+        acc += (product & _U(2 ** 32 - 1)) + a1 * b[j - 1]
+        acc = (acc >> _U(32)) + (product >> _U(32)) if j < 3 else acc
+    return (acc >> _U(25)) + ((product >> _U(32)) + a1 * b[3] << _U(7)), acc & _U(2 ** 25 - 1)
 
 
-def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The shortest digits of nonzero values below 2^50, as an integer and its power of ten."""
-    bits = values.view(_U)
-    ex = ((bits >> _U(52)) & _U(0x7FF)).astype(np.intp)
-    frac = bits & _U((1 << 52) - 1)
-    # Ryu's quantities for each exponent in the chunk, then for each value.
-    exps = np.flatnonzero(np.bincount(ex, minlength=1))
-    column = np.zeros(0x7FF, np.intp)
-    column[exps] = np.arange(len(exps))
-    *u, minus_e10 = np.take(np.array([_terms(e) for e in exps.tolist()], _U).T, column[ex], axis=1)
-    # Four times the mantissa, and the ends of its rounding interval: the
-    # lower end is closer where the mantissa is a power of two.
+def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shortest digits of nonzero values below 2^50 in magnitude.
+
+    Returns them as an integer, with its digit count and decpt, the place of
+    the decimal point counted from the first digit.
+    """
+    ex = (values.view(_U) >> _U(52) & _U(0x7FF)).astype(np.intp)
+    frac = values.view(_U) & _U((1 << 52) - 1)
+    # Fills the columns of the exponents seen for the first time, then
+    # takes them again.
+    while not (u := np.take(_TERMS, ex, axis=1))[3].all():
+        new = np.flatnonzero(np.bincount(ex[u[3] == 0]))
+        _TERMS[:, new] = np.array([_terms(e) for e in new.tolist()], _U).T
+    # Four times the mantissa m2; the ends of its rounding interval are
+    # 4 m2 + 2 and 4 m2 - 2, or 4 m2 - 1 where m2 is a power of two.
     mv = (frac | (ex > 0) * _U(1 << 52)) << _U(2)
-    mm_shift = (frac != 0) | (ex <= 1)
-    vr, vp, vm = (_mul_shift(m, u) for m in (mv, mv + _U(2), mv - _U(1) - mm_shift))
-    # Digits removed: at least as many as vp - vm has, then one more while
-    # the interval still holds two numbers that differ in the next digit.
-    removed = np.searchsorted(_POW10, vp - vm, side="right") - 1
-    p = _POW10[removed + 1]
-    rows = np.flatnonzero(vp // p > vm // p)
-    while rows.size:
-        removed[rows] += 1
-        p = _POW10[removed[rows] + 1]
-        rows = rows[vp[rows] // p > vm[rows] // p]
+    closer = (frac == 0) & (ex > 1)
+    # (mv +- 2) mul is mv mul +- (A 2^121 + rest): vp and vm are vr +- A,
+    # and one more where rest carries past 2^121 or borrows from it. r, the
+    # top bits of mv mul's own remainder, decides that unless they equal
+    # rest's; those values, and those with a closer lower end, take the
+    # products themselves.
+    vr, r = _mul_shift(mv, u)
+    vp, vm = vr + u[6] + (r > u[7]), vr - u[6] - (r < u[8])
+    rows = np.flatnonzero((r == u[7]) | (r == u[8]) | closer)
+    if rows.size:
+        m = mv[rows] + _U(2)
+        vp[rows], vm[rows] = _mul_shift(np.stack([m, m - _U(4) + closer[rows]]), u[:, rows])[0]
+    # Digits removed: the most for which a multiple of their power of ten
+    # lies in (vm, vp]. vp - vm is between 30 and 400 (A is 20 to 199), so
+    # 10 and 10^(2 or 3) have one; the next power has at most one, c p, and
+    # if so its trailing zeros come off as well.
+    width = vp - vm
+    removed = np.where(width > _U(99), 3, 2)
+    p = _POW10[removed]
+    c = vp // p
+    up = vp - c * p < width
+    removed -= ~up
+    rows = np.flatnonzero(up & (c == c // _U(10) * _U(10)))
+    removed[rows] += (c[rows, None] % _POW10[1:18] == 0).sum(axis=1)
     p = _POW10[removed]
     out = vr // p
     half = (vr - out * p) * _U(2)
-    # vr is exact when 4 m2 is a multiple of 2^tz_bits; then a removed part
-    # of exactly one half rounds to even. Where nothing is removed, half = 0 < p.
-    tie = (half == p) & ((mv & ((_U(1) << u[6]) - _U(1))) == 0) & (out % _U(2) == 0)
-    out += (out == vm // p) | ((half >= p) & ~tie)
-    return out, removed - minus_e10.astype(np.int64)
+    # vr is exact when 4 m2 is a multiple of 2^q; then a removed part of
+    # exactly one half rounds to even. Where nothing is removed, half = 0 < p.
+    tie = (half == p) & ((mv & u[4]) == 0) & ((out & _U(1)) == 0)
+    out += (vm >= out * p) | ((half >= p) & ~tie)
+    # out p lies in (vm, vp]: it has 18 or 19 digits where the value is normal.
+    places = (np.where(out * p >= _U(10 ** 18), 19, 18) if ex.all()
+              else np.searchsorted(_POW10, out * p, side="right"))
+    return out, places - removed, places - u[5].astype(np.int64)
+
+
+def _words(tail: bytes, chunk: np.ndarray) -> np.ndarray:
+    """The text of a job in words of eight places, one column per value, with NUL between.
+
+    Row by row: the sign and the "0.000" of 0.000ddd, if any value has
+    either; three words of digits, point and exponent; then ``tail``, the
+    separator, which the last value does not get.
+    """
+    signs, zero = np.signbit(chunk), chunk == 0.0
+    # A zero takes the digits of 1.5, less 15.
+    out, digits, decpt = _digits(np.where(zero, 1.5, chunk))
+    out -= zero * _U(15)
+    layouts, exponents, quads = _tables()
+    lay = np.take(layouts, digits * 21 + np.maximum(decpt, -4), axis=1)
+    x = out * lay[0]
+    y = x + x // lay[1] * lay[1] * _U(9)
+    top, low = y // _U(10 ** 10), y // _U(100)
+    halves = np.stack([top, low - top * _U(10 ** 8)])
+    lead = int(signs.any() or lay[2].any())
+    text = np.zeros((lead + 3 + (len(tail) + 7) // 8, len(chunk)), _U)
+    body = text[lead:lead + 3]
+    high = halves // _U(10 ** 4)
+    body[:2] = np.take(quads, high) | np.take(quads, halves - high * _U(10 ** 4)) << _U(32)
+    body[2] = np.take(quads, y - low * _U(100)) >> _U(16)
+    body -= lay[3:6]
+    body &= lay[6:]
+    body[2] |= np.take(exponents, decpt + 323)
+    text[:lead] = signs * _U(ord("-")) | lay[2]
+    text[lead + 3:, :-1] = np.frombuffer(tail + bytes(-len(tail) % 8), _U)[:, None]
+    return text
 
 
 def json_values(sep: str, chunk: np.ndarray) -> str:
@@ -112,46 +199,6 @@ def json_values(sep: str, chunk: np.ndarray) -> str:
         raise TypeError(f"json_values takes float64 values, not {chunk.dtype}")
     if not np.all(np.abs(chunk) < 2.0 ** 50):
         return json.dumps(chunk.tolist(), separators=(sep, ": "))[1:-1]
-    n, tail = len(chunk), np.frombuffer(sep.encode(), np.uint8)
-    regular = chunk != 0.0
-    out, e = np.zeros(n, _U), np.zeros(n, np.int64)
-    if regular.any():
-        out[regular], e[regular] = _digits(chunk[regular])
-    digits = np.maximum(np.searchsorted(_POW10, out, side="right"), 1)
-    decpt = e + digits  # where the point goes, counted from the first digit
-    fixed = decpt > -4  # below 2^50, decpt is at most 16
-    # Text is built one place per row, one value per column, and transposed
-    # at the end. The body: a NUL, four places for the zeros of 0.000ddd,
-    # then the 17 digits left-aligned, then a NUL. The digits are spelled
-    # from two halves of nine; the first place of the high half is always 0
-    # and is overwritten by the zeros. An integral value shows its zeros and
-    # one after the point; a digit not shown is NUL.
-    body = np.zeros((23, n), np.uint8)
-    x = out * _POW10[17 - digits]
-    high = x // _U(10 ** 9)
-    halves = np.stack([high, x - high * _U(10 ** 9)]).astype(np.uint32)
-    for j in range(8, -1, -1):
-        quotient = halves // np.uint32(10)
-        body[4 + j], body[13 + j] = halves - quotient * np.uint32(10)
-        halves = quotient
-    body[5:22] += ord("0")
-    body[5:22] *= np.arange(17)[:, None] < np.where(fixed, np.maximum(digits, decpt + 1), digits)
-    first_zero = np.where(fixed & (decpt <= 0), 3 + decpt, 4)
-    body[1:5] = (np.arange(4)[:, None] >= first_zero) * np.uint8(ord("0"))
-    # The decimal point takes place ``point`` of the 22 after the sign; the
-    # body places before it move one place left.
-    point = 4 + np.where(fixed, decpt, 1)
-    text = np.zeros((_WIDTH + len(tail), n), np.uint8)
-    text[0] = (chunk.view(_U) >> _U(63)) * _U(ord("-"))
-    text[_BODY:_EXP] = body[:22] + (body[1:] - body[:22]) * (np.arange(22)[:, None] < point)
-    text[_BODY + point, np.arange(n)] = (fixed | (digits > 1)) * ord(".")
-    # The exponent of the scientific rows, all below 1e-4.
-    power = 1 - decpt
-    text[_EXP:_EXP + 2] = np.frombuffer(b"e-", np.uint8)[:, None]
-    text[_EXP + 2] = (power // 100 + ord("0")) * (power >= 100)
-    text[_EXP + 3] = power // 10 % 10 + ord("0")
-    text[_EXP + 4] = power % 10 + ord("0")
-    text[_EXP:_WIDTH] *= ~fixed
-    text[_WIDTH:, :-1] = tail[:, None]
-    # Places that are NUL in every value need not be transposed.
-    return text[text.any(axis=1)].T.tobytes().translate(None, b"\0").decode()
+    if not chunk.view(_U).any():
+        return sep.join(["0.0"] * len(chunk))
+    return _words(sep.encode(), chunk).T.tobytes().translate(None, b"\0").decode()

@@ -388,6 +388,95 @@ def test_json_kernel_spells_the_edges_below_2_50(kernel_only):
         assert json_values(", ", pair) == _reference(pair)
 
 
+# The kernel's own paths: a job of +0.0 alone is a repeated string; a zero
+# among other values, or a job of zeros with a -0.0, takes the digits of
+# 1.5, less 15; the sign and the "0.000" of 0.000ddd take a word only in
+# jobs that have them; fixed and scientific rows take their layouts and
+# exponent words from tables built on the first job.
+KERNEL_PATHS = {
+    "positive zeros": [0.0] * 9,
+    "negative zeros": [-0.0] * 9,
+    "mixed zeros": [0.0, -0.0, -0.0, 0.0, 0.0, -0.0],
+    "one zero": [1.5, -2.25, 3e-7, 0.0, 123456.789, 0.1, 7.0],
+    "one negative zero": [1.5, -0.0, 2.5e-300],
+    "fixed": [1.0, 0.5, 123.456, 2.0 ** 49, 1e15, 0.0001, 0.001234, 99.99, 1e-4 * 3],
+    "fixed, positive, from 1": [1.0, 10.0, 2.5, 123456789.125, 1e15 + 2],
+    "fixed and scientific": [1.0, 1e-5, -0.5, 9.99e-5, 1.2345e-100, 5e-324, 0.0123, 42.0,
+                             -7.1e-310, 3.0],
+    "scientific": [1e-5, 2.5e-10, -3.75e-200, 1e-99, 1e-100, 2.2250738585072014e-308],
+}
+
+
+@pytest.mark.parametrize("sep", [", ", ",\n    ", ",\n                  ", ","])
+@pytest.mark.parametrize("values", KERNEL_PATHS.values(), ids=KERNEL_PATHS)
+def test_json_kernel_paths(kernel_only, values, sep):
+    chunk = np.array(values)
+    assert json_values(sep, chunk) == _reference(chunk, sep)
+    assert json_values(sep, chunk[::-1]) == _reference(chunk[::-1], sep)
+
+
+def test_json_kernel_fills_its_exponent_table_in_any_order(kernel_only, monkeypatch):
+    # Starting from an empty table, a second job brings exponents the first
+    # did not, in no particular order; each exponent's column is filled once,
+    # the first time a job holds it, and no other column is touched.
+    monkeypatch.setattr(_json_floats, "_TERMS", np.zeros_like(_json_floats._TERMS))
+    first = np.array([1.5, 3.0, 0.75, 1.25])
+    second = np.array([2.0 ** -900, 1.5, 1e-5, 3e14, 5e-324, 0.75, 2.0 ** -1000, 7.0])
+    seen = set()
+    for chunk in (first, second, first[::-1]):
+        assert json_values(", ", chunk) == _reference(chunk)
+        seen |= set((chunk.view(np.uint64) >> np.uint64(52)).tolist())
+        filled = np.flatnonzero(_json_floats._TERMS.any(axis=0))
+        assert filled.tolist() == sorted(seen)
+        for ex in filled.tolist():
+            assert tuple(_json_floats._TERMS[:, ex].tolist()) == _json_floats._terms(ex)
+
+
+def _multiplier(ex):
+    return sum(limb << 32 * j for j, limb in enumerate(_json_floats._terms(ex)[:4]))
+
+
+def test_json_kernel_bounds_hold_for_every_exponent():
+    # _digits takes 2 or 3 digits off at first from the width of the
+    # rounding interval, vp - vm, which must lie in [10, 999]: it is 4 mul
+    # or, where the mantissa is a power of two, 3 mul over 2^121, give or
+    # take one. Where the value is normal, vr and the digits found, which
+    # lie between vm and vp, have 18 or 19 digits.
+    for ex in range(1073):
+        mul = _multiplier(ex)
+        assert 10 <= (3 * mul >> 121) - 1 and (4 * mul >> 121) + 1 <= 999, ex
+        if ex > 0:
+            assert 10 ** 17 <= ((1 << 54) - 1) * mul >> 121, ex
+            assert ((1 << 55) - 2) * mul >> 121 < 10 ** 19, ex
+
+
+# Mantissas whose product's bits from 2^96 to 2^121 equal the top bits of
+# 2^121 less the remainder of 2 mul (row 7 of the terms), or of that
+# remainder (row 8): vp or vm then depends on lower bits, and the kernel
+# takes their products itself. Found by a random search over mantissas at
+# each exponent.
+REMAINDER_TIES = [(1023, 7, "0x1.1405e70cfda1ap+0"), (1023, 8, "0x1.2d90e54796e5ap+0"),
+                  (1000, 7, "0x1.5df51a76353c4p-23"), (1000, 8, "0x1.c3b1b4b8dbeaep-23"),
+                  (700, 7, "0x1.f8fcb6059dce3p-323"), (700, 8, "0x1.8caf775eff470p-323"),
+                  (1, 7, "0x1.69fc0d88099abp-1022"), (1, 8, "0x1.748027e60bfcep-1022"),
+                  (0, 7, "0x0.e9a033a79171fp-1022"), (0, 8, "0x0.d6dcb9741cc3ep-1022")]
+
+
+def test_json_kernel_takes_the_products_where_remainder_bits_tie(kernel_only):
+    values = np.array([float.fromhex(text) for _, _, text in REMAINDER_TIES])
+    for value, (ex, row, _) in zip(values.tolist(), REMAINDER_TIES):
+        bits = np.array([value]).view(np.uint64)
+        frac = int(bits[0]) & (1 << 52) - 1
+        mv = np.array([(frac | (ex > 0) << 52) << 2], np.uint64)
+        terms = np.array(_json_floats._terms(ex), np.uint64)[:, None]
+        assert int(bits[0] >> np.uint64(52)) == ex
+        assert _json_floats._mul_shift(mv, terms)[1][0] == terms[row, 0]
+    for chunk in (values, -values, np.concatenate([values, [0.3, 1e-7, 2.5]])):
+        assert json_values(", ", chunk) == _reference(chunk)
+        for value in chunk.tolist():
+            assert json_values(", ", np.array([value])) == repr(value)
+
+
 @pytest.mark.parametrize("value", FALLBACK_EDGES)
 @pytest.mark.parametrize("where", [0, 7, -1])
 def test_one_value_from_2_50_up_sends_its_chunk_to_json_dumps(monkeypatch, value, where):

@@ -4,6 +4,8 @@ import cmath
 import dataclasses
 import itertools
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -387,10 +389,44 @@ class TestSiConversion:
     @pytest.mark.parametrize("wavelength", sorted(SI_BITS))
     def test_qed_prefactor_keeps_its_bits(self, wavelength):
         prefactor = float.fromhex(SI_BITS[wavelength][1])
+        numerator = (FINE_STRUCTURE ** 4 / (2.0 * 45.0 ** 2 * (2.0 * math.pi) ** 2)
+                     * COMPTON_WAVELENGTH ** 8)
+        assert numerator / wavelength ** 6 == prefactor
+
+        def expected(bracket):
+            # A subnormal prefactor has lost digits: there the bracket
+            # multiplies the numerator before the division.
+            if prefactor < sys.float_info.min:
+                return numerator * bracket / wavelength ** 6
+            return prefactor * bracket
+
         theta = np.linspace(1e-3, math.pi - 1e-3, 7)
         for state in (TwoPhotonPolState.psi_plus(), TwoPhotonPolState(0.3, 1.2)):
             values = dcs_entangled_qed(theta, state, wavelength)
-            assert (values == prefactor * qed_bracket(theta, state)).all()
+            assert (values == expected(qed_bracket(theta, state))).all()
             scalar = dcs_entangled_qed(0.3, state, wavelength)
             assert type(scalar) is float
-            assert scalar == prefactor * qed_bracket(0.3, state)
+            assert scalar == expected(qed_bracket(0.3, state))
+
+
+# Where an intermediate of the SI conversions is subnormal, the values are
+# exact to the float: against fractions.Fraction of the same constants, the
+# error is below 2^-52. With the subnormal intermediate in the product,
+# si_convert is 1.2% off at 1e-161 m and the QED value 7.9e-14 off at 8.72e32 m.
+@pytest.mark.parametrize("wavelength", [1e-161, 1e-160, 1e-155])
+def test_si_convert_is_exact_where_the_square_of_the_wavelength_is_subnormal(wavelength):
+    assert 0.0 < wavelength ** 2 < sys.float_info.min
+    exact = 32 * Fraction(PLANCK_LENGTH) ** 4 / Fraction(wavelength) ** 2
+    for value in (si_convert(32.0, wavelength), si_convert(np.array([32.0]), wavelength)[0]):
+        assert abs(Fraction(float(value)) - exact) < exact / 2 ** 52
+
+
+def test_qed_value_is_exact_where_the_prefactor_is_subnormal():
+    wavelength = 8.72e32
+    numerator = (Fraction(FINE_STRUCTURE) ** 4 / (2 * 45 ** 2 * (2 * Fraction(math.pi)) ** 2)
+                 * Fraction(COMPTON_WAVELENGTH) ** 8)
+    assert 0.0 < float(numerator / Fraction(wavelength) ** 6) < sys.float_info.min
+    state = TwoPhotonPolState.psi_plus()
+    exact = numerator * Fraction(qed_bracket(0.0, state)) / Fraction(wavelength) ** 6
+    value = dcs_entangled_qed(0.0, state, wavelength)
+    assert sys.float_info.min < value and abs(Fraction(value) - exact) < exact / 2 ** 52
