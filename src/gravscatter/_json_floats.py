@@ -19,7 +19,8 @@ reference: tests/test_columns.py compares the two on random bit patterns,
 in and out of the kernel's domain, and on an edge list.
 
 The text of a value is built in 64-bit words, eight ASCII places each, the
-first place in the low byte, with NUL in every place not shown; the NULs
+first place in the low byte, with NUL in every place not shown. The words
+are laid out little-endian, whatever the machine's byte order, and the NULs
 are deleted from the whole job's bytes at the end.
 """
 
@@ -65,7 +66,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         layouts.append([10 ** (17 - digits), 10 ** (17 - point), prefix, *words])
     exponents = [int.from_bytes(b"\0\0e-%02d" % (1 - d), "little") for d in range(-323, -3)]
     quads = sum((np.arange(10 ** 4) // 10 ** (3 - j) % 10 + 48) << 8 * j for j in range(4))
-    return np.array(layouts, _U).T.copy(), np.array(exponents + [0] * 20, _U), quads.astype(_U)
+    return np.array(layouts, _U).T.copy(), np.array(exponents + [0] * 20, _U), quads.astype("u4")
 
 
 def _terms(ex: int) -> tuple[int, ...]:
@@ -113,10 +114,9 @@ def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     ex = (values.view(_U) >> _U(52) & _U(0x7FF)).astype(np.intp)
     frac = values.view(_U) & _U((1 << 52) - 1)
-    # Fills the columns of the exponents seen for the first time, then
-    # takes them again.
-    while not (u := np.take(_TERMS, ex, axis=1))[3].all():
-        new = np.flatnonzero(np.bincount(ex[u[3] == 0]))
+    # Fills the columns of the exponents seen for the first time.
+    if not (filled := np.take(_TERMS[3], ex)).all():
+        new = np.flatnonzero(np.bincount(ex[filled == 0]))
         _TERMS[:, new] = np.array([_terms(e) for e in new.tolist()], _U).T
     # Four times the mantissa m2; the ends of its rounding interval are
     # 4 m2 + 2 and 4 m2 - 2, or 4 m2 - 1 where m2 is a power of two.
@@ -127,20 +127,19 @@ def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # top bits of mv mul's own remainder, decides that unless they equal
     # rest's; those values, and those with a closer lower end, take the
     # products themselves.
-    vr, r = _mul_shift(mv, u)
-    vp, vm = vr + u[6] + (r > u[7]), vr - u[6] - (r < u[8])
-    rows = np.flatnonzero((r == u[7]) | (r == u[8]) | closer)
+    vr, r = _mul_shift(mv, np.take(_TERMS[:4], ex, axis=1))
+    a, carry, borrow = np.take(_TERMS[6:], ex, axis=1)
+    vp, vm = vr + a + (r > carry), vr - a - (r < borrow)
+    rows = np.flatnonzero((r == carry) | (r == borrow) | closer)
     if rows.size:
-        m = mv[rows] + _U(2)
-        vp[rows], vm[rows] = _mul_shift(np.stack([m, m - _U(4) + closer[rows]]), u[:, rows])[0]
+        m, b = mv[rows] + _U(2), np.take(_TERMS[:4], ex[rows], axis=1)
+        vp[rows], vm[rows] = _mul_shift(np.stack([m, m - _U(4) + closer[rows]]), b)[0]
     # Digits removed: the most for which a multiple of their power of ten
     # lies in (vm, vp]. vp - vm is between 30 and 400 (A is 20 to 199), so
     # 10 and 10^(2 or 3) have one; the next power has at most one, c p, and
     # if so its trailing zeros come off as well.
-    width = vp - vm
-    removed = np.where(width > _U(99), 3, 2)
-    p = _POW10[removed]
-    c = vp // p
+    removed = np.where((width := vp - vm) > _U(99), 3, 2)
+    c = vp // (p := _POW10[removed])
     up = vp - c * p < width
     removed -= ~up
     rows = np.flatnonzero(up & (c == c // _U(10) * _U(10)))
@@ -150,12 +149,11 @@ def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     half = (vr - out * p) * _U(2)
     # vr is exact when 4 m2 is a multiple of 2^q; then a removed part of
     # exactly one half rounds to even. Where nothing is removed, half = 0 < p.
-    tie = (half == p) & ((mv & u[4]) == 0) & ((out & _U(1)) == 0)
+    tie = (half == p) & ((mv & np.take(_TERMS[4], ex)) == 0) & ((out & _U(1)) == 0)
     out += (vm >= out * p) | ((half >= p) & ~tie)
-    # out p lies in (vm, vp]: it has 18 or 19 digits where the value is normal.
-    places = (np.where(out * p >= _U(10 ** 18), 19, 18) if ex.all()
-              else np.searchsorted(_POW10, out * p, side="right"))
-    return out, places - removed, places - u[5].astype(np.int64)
+    # The digits of out p, which lies in (vm, vp].
+    places = np.searchsorted(_POW10, out * p, side="right")
+    return out, places - removed, places - np.take(_TERMS[5], ex).astype(np.int64)
 
 
 def _words(tail: bytes, chunk: np.ndarray) -> np.ndarray:
@@ -170,22 +168,23 @@ def _words(tail: bytes, chunk: np.ndarray) -> np.ndarray:
     out, digits, decpt = _digits(np.where(zero, 1.5, chunk))
     out -= zero * _U(15)
     layouts, exponents, quads = _tables()
-    lay = np.take(layouts, digits * 21 + np.maximum(decpt, -4), axis=1)
-    x = out * lay[0]
-    y = x + x // lay[1] * lay[1] * _U(9)
+    key = digits * 21 + np.maximum(decpt, -4)
+    x = out * np.take(layouts[0], key)
+    y = x + x // (point := np.take(layouts[1], key)) * point * _U(9)
     top, low = y // _U(10 ** 10), y // _U(100)
     halves = np.stack([top, low - top * _U(10 ** 8)])
-    lead = int(signs.any() or lay[2].any())
+    prefix = np.take(layouts[2], key)
+    lead = int(signs.any() or prefix.any())
     text = np.zeros((lead + 3 + (len(tail) + 7) // 8, len(chunk)), _U)
     body = text[lead:lead + 3]
-    high = halves // _U(10 ** 4)
-    body[:2] = np.take(quads, high) | np.take(quads, halves - high * _U(10 ** 4)) << _U(32)
+    hi = halves // _U(10 ** 4)
+    body[:2] = np.take(quads, hi) | np.take(quads, halves - hi * _U(10 ** 4)).astype(_U) << _U(32)
     body[2] = np.take(quads, y - low * _U(100)) >> _U(16)
-    body -= lay[3:6]
-    body &= lay[6:]
+    body -= np.take(layouts[3:6], key, axis=1)
+    body &= np.take(layouts[6:], key, axis=1)
     body[2] |= np.take(exponents, decpt + 323)
-    text[:lead] = signs * _U(ord("-")) | lay[2]
-    text[lead + 3:, :-1] = np.frombuffer(tail + bytes(-len(tail) % 8), _U)[:, None]
+    text[:lead] = signs * _U(ord("-")) | prefix
+    text[lead + 3:, :-1] = np.frombuffer(tail + bytes(-len(tail) % 8), "<u8")[:, None]
     return text
 
 
@@ -201,4 +200,5 @@ def json_values(sep: str, chunk: np.ndarray) -> str:
         return json.dumps(chunk.tolist(), separators=(sep, ": "))[1:-1]
     if not chunk.view(_U).any():
         return sep.join(["0.0"] * len(chunk))
-    return _words(sep.encode(), chunk).T.tobytes().translate(None, b"\0").decode()
+    words = _words(sep.encode(), chunk).T.astype("<u8", copy=False)
+    return words.tobytes().translate(None, b"\0").decode()

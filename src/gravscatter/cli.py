@@ -70,7 +70,7 @@ _CANONICAL_STATES = {"dcs_product": TwoPhotonPolState(0.0, 0.0),
 _CHUNK_VALUES = 4096
 # Tables of fewer jobs are formatted in this process: a worker costs about
 # 5 ms to fork, feed through a pipe and reap, a value 0.3-0.9 us to format
-# as CSV and 0.16-0.18 us as JSON. A JSON array is at least one job, so this
+# as CSV and 0.17-0.18 us as JSON. A JSON array is at least one job, so this
 # exceeds amp-table's 17 columns: every table forks from about 2^16 values.
 _FORK_MIN_JOBS = 18
 

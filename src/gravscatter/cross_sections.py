@@ -190,9 +190,9 @@ def dcs_entangled_qed(theta, state: TwoPhotonPolState, wavelength: float):
     numerator = (FINE_STRUCTURE ** 4 / (2.0 * 45.0 ** 2 * (2.0 * math.pi) ** 2)
                  * COMPTON_WAVELENGTH ** 8)
     prefactor = numerator / wavelength ** 6
-    if 0.0 < prefactor < sys.float_info.min:
-        # A subnormal prefactor has lost digits that the bracket, up to
-        # 4624, would bring back into the normal range.
+    if prefactor < sys.float_info.min:
+        # A subnormal or zero prefactor has lost digits that the bracket, up
+        # to 4624, would bring back into the normal range.
         return numerator * qed_bracket(theta, state) / wavelength ** 6
     return prefactor * qed_bracket(theta, state)
 
@@ -201,7 +201,8 @@ def si_convert(reduced, wavelength: float):
     """Reduced gravitational value times l_P^4 / lambda^2, in m^2 per steradian."""
     _check_wavelength(wavelength)
     values = np.asarray(reduced, dtype=np.float64)
-    if 0.0 < wavelength ** 2 < sys.float_info.min:
-        # Below about 1.5e-154 m a subnormal square would carry its rounding.
+    if wavelength ** 2 < sys.float_info.min:
+        # Below about 1.5e-154 m the square is subnormal or zero, and would
+        # carry its rounding or divide by zero.
         return _like(values, values * PLANCK_LENGTH ** 4 / wavelength / wavelength)
     return _like(values, values * PLANCK_LENGTH ** 4 / wavelength ** 2)

@@ -394,7 +394,7 @@ class TestUnevaluableInputs:
           "--format", "json"], "divide by zero"),
         (["amp-table", "--theta-min", "1e-170"], "divide by zero"),
         (["amp-table", "--theta-min", "1e-170", "--format", "json"], "divide by zero"),
-        (["si", "--lambda", "1e-200"], "divide by zero"),
+        (["si", "--lambda", "1e-250"], "outside floating-point range"),
         (["qed-scan", "--lambda", "1e-80"], "division by zero"),
         (["dcs-scan", "--units", "si", "--lambda", "1e300"], "out of range"),
         (["coincidence-scan", "--delta-max", "inf"], "finite"),

@@ -415,6 +415,18 @@ def test_json_kernel_paths(kernel_only, values, sep):
     assert json_values(sep, chunk[::-1]) == _reference(chunk[::-1], sep)
 
 
+def test_json_kernel_text_does_not_depend_on_byte_order(kernel_only, monkeypatch):
+    # A big-endian machine holds the same word values with their bytes in
+    # the other order; the words are laid out little-endian before their
+    # bytes are read, so the text is the same.
+    words = _json_floats._words
+    monkeypatch.setattr(_json_floats, "_words", lambda *args: words(*args).astype(">u8"))
+    for values in KERNEL_PATHS.values():
+        chunk = np.array(values)
+        for sep in (", ", ",\n    "):
+            assert json_values(sep, chunk) == _reference(chunk, sep)
+
+
 def test_json_kernel_fills_its_exponent_table_in_any_order(kernel_only, monkeypatch):
     # Starting from an empty table, a second job brings exponents the first
     # did not, in no particular order; each exponent's column is filled once,
@@ -440,14 +452,10 @@ def test_json_kernel_bounds_hold_for_every_exponent():
     # _digits takes 2 or 3 digits off at first from the width of the
     # rounding interval, vp - vm, which must lie in [10, 999]: it is 4 mul
     # or, where the mantissa is a power of two, 3 mul over 2^121, give or
-    # take one. Where the value is normal, vr and the digits found, which
-    # lie between vm and vp, have 18 or 19 digits.
+    # take one.
     for ex in range(1073):
         mul = _multiplier(ex)
         assert 10 <= (3 * mul >> 121) - 1 and (4 * mul >> 121) + 1 <= 999, ex
-        if ex > 0:
-            assert 10 ** 17 <= ((1 << 54) - 1) * mul >> 121, ex
-            assert ((1 << 55) - 2) * mul >> 121 < 10 ** 19, ex
 
 
 # Mantissas whose product's bits from 2^96 to 2^121 equal the top bits of

@@ -348,6 +348,10 @@ SI_BITS = {
     8.5e32: ("0x1.e52ce254bc66bp-677", "0x0.00447c59eb4eep-1022"),
 }
 
+# alpha^4 lambda_C^8 / (2 * 45^2 * (2 pi)^2) in exact arithmetic on the same floats.
+EXACT_QED_NUMERATOR = (Fraction(FINE_STRUCTURE) ** 4 / (2 * 45 ** 2 * (2 * Fraction(math.pi)) ** 2)
+                       * Fraction(COMPTON_WAVELENGTH) ** 8)
+
 
 class TestSiConversion:
     def test_planck_length(self):
@@ -392,30 +396,31 @@ class TestSiConversion:
         numerator = (FINE_STRUCTURE ** 4 / (2.0 * 45.0 ** 2 * (2.0 * math.pi) ** 2)
                      * COMPTON_WAVELENGTH ** 8)
         assert numerator / wavelength ** 6 == prefactor
-
-        def expected(bracket):
-            # A subnormal prefactor has lost digits: there the bracket
-            # multiplies the numerator before the division.
-            if prefactor < sys.float_info.min:
-                return numerator * bracket / wavelength ** 6
-            return prefactor * bracket
-
         theta = np.linspace(1e-3, math.pi - 1e-3, 7)
         for state in (TwoPhotonPolState.psi_plus(), TwoPhotonPolState(0.3, 1.2)):
             values = dcs_entangled_qed(theta, state, wavelength)
-            assert (values == expected(qed_bracket(theta, state))).all()
             scalar = dcs_entangled_qed(0.3, state, wavelength)
             assert type(scalar) is float
-            assert scalar == expected(qed_bracket(0.3, state))
+            brackets = [*qed_bracket(theta, state), qed_bracket(0.3, state)]
+            if prefactor >= sys.float_info.min:
+                assert [*values, scalar] == [prefactor * b for b in brackets]
+                continue
+            # A subnormal prefactor has lost digits (the product with it is
+            # 9.9, 47 and 390 times 2^-52 off at these wavelengths); the
+            # values are exact to the float against fractions.Fraction.
+            for value, bracket in zip([*values, scalar], brackets):
+                exact = EXACT_QED_NUMERATOR * Fraction(bracket) / Fraction(wavelength) ** 6
+                assert abs(Fraction(float(value)) - exact) < exact / 2 ** 52
 
 
 # Where an intermediate of the SI conversions is subnormal, the values are
 # exact to the float: against fractions.Fraction of the same constants, the
 # error is below 2^-52. With the subnormal intermediate in the product,
-# si_convert is 1.2% off at 1e-161 m and the QED value 7.9e-14 off at 8.72e32 m.
-@pytest.mark.parametrize("wavelength", [1e-161, 1e-160, 1e-155])
+# si_convert is 1.2% off at 1e-161 m and the QED value 7.9e-14 off at 8.72e32 m;
+# at 1e-200 m the square is 0 and the product divides by zero.
+@pytest.mark.parametrize("wavelength", [1e-200, 1e-161, 1e-160, 1e-155])
 def test_si_convert_is_exact_where_the_square_of_the_wavelength_is_subnormal(wavelength):
-    assert 0.0 < wavelength ** 2 < sys.float_info.min
+    assert wavelength ** 2 < sys.float_info.min
     exact = 32 * Fraction(PLANCK_LENGTH) ** 4 / Fraction(wavelength) ** 2
     for value in (si_convert(32.0, wavelength), si_convert(np.array([32.0]), wavelength)[0]):
         assert abs(Fraction(float(value)) - exact) < exact / 2 ** 52
@@ -423,10 +428,8 @@ def test_si_convert_is_exact_where_the_square_of_the_wavelength_is_subnormal(wav
 
 def test_qed_value_is_exact_where_the_prefactor_is_subnormal():
     wavelength = 8.72e32
-    numerator = (Fraction(FINE_STRUCTURE) ** 4 / (2 * 45 ** 2 * (2 * Fraction(math.pi)) ** 2)
-                 * Fraction(COMPTON_WAVELENGTH) ** 8)
-    assert 0.0 < float(numerator / Fraction(wavelength) ** 6) < sys.float_info.min
+    assert 0.0 < float(EXACT_QED_NUMERATOR / Fraction(wavelength) ** 6) < sys.float_info.min
     state = TwoPhotonPolState.psi_plus()
-    exact = numerator * Fraction(qed_bracket(0.0, state)) / Fraction(wavelength) ** 6
+    exact = EXACT_QED_NUMERATOR * Fraction(qed_bracket(0.0, state)) / Fraction(wavelength) ** 6
     value = dcs_entangled_qed(0.0, state, wavelength)
     assert sys.float_info.min < value and abs(Fraction(value) - exact) < exact / 2 ** 52
