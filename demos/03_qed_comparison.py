@@ -26,9 +26,13 @@ psi_minus = TwoPhotonPolState.psi_minus()
 product = TwoPhotonPolState(0.0, 0.0)
 right = math.pi / 2
 
+# Every wavelength the library takes is the reduced one, hbar c / E: the
+# ordinary wavelength over 2 pi. An ordinary wavelength passed in its place
+# would make the graviton rates (2 pi)^2 and the QED rates (2 pi)^6 too small.
 print("right-angle differential cross sections in m^2/sr")
-for wavelength, label in ((500e-9, "500 nm (optical)"), (10e-9, "10 nm (soft x-ray)")):
-    print(f"\n  wavelength {label}")
+for wavelength, label in ((500e-9, "500 nm (wavelength 3.1 um, infrared)"),
+                          (10e-9, "10 nm (wavelength 63 nm, extreme ultraviolet)")):
+    print(f"\n  reduced wavelength {label}")
     for state, name in ((psi_plus, "psi_plus"), (product, "product"), (psi_minus, "psi_minus")):
         grav = si_convert(dcs_entangled_pqg(right, state), wavelength)
         qed = dcs_entangled_qed(right, state, wavelength)
@@ -37,7 +41,7 @@ for wavelength, label in ((500e-9, "500 nm (optical)"), (10e-9, "10 nm (soft x-r
 print()
 print("the graviton signal gains on the background as the wavelength drops:")
 print("graviton scattering scales as 1/lambda^2, the QED box as 1/lambda^6,")
-print("but the box starts some fifty orders of magnitude ahead at optical")
+print("but the box starts some fifty orders of magnitude ahead at infrared")
 print("wavelengths, so both remain far beyond direct detection")
 
 print()

@@ -21,12 +21,13 @@ in and out of the kernel's domain, and on an edge list.
 The text of a value is built in 64-bit words, eight ASCII places each, the
 first place in the low byte, with NUL in every place not shown. The words
 are laid out little-endian, whatever the machine's byte order, and the NULs
-are deleted from the whole job's bytes at the end.
+are deleted from the whole job's bytes at the end. The tables of that text
+are built when the module is imported, which the CLI does in its main
+process for a JSON table only, so forked formatting workers inherit them.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 
 import numpy as np
@@ -35,12 +36,14 @@ _U = np.uint64
 _POW10 = np.array([10 ** k for k in range(20)], dtype=_U)
 # Ryu's quantities for each biased exponent below 1073, one column each,
 # filled on first use (see _terms); a column not yet filled is all zero.
+# Filling all 1073 at import would take 4-7 ms, more than a call saves.
 _TERMS = np.zeros((9, 1073), _U)
 
 
-@functools.cache
 def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The text's tables, built on first use: layouts, exponents and quads.
+    """The text's tables, built once at import: layouts, exponents and quads.
+
+    A forked worker inherits them from the process that imported the module.
 
     Column 21 digits + max(decpt, -4) of the layouts holds, for a value
     of ``digits`` digits whose point comes ``decpt`` places after the first
@@ -67,6 +70,9 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exponents = [int.from_bytes(b"\0\0e-%02d" % (1 - d), "little") for d in range(-323, -3)]
     quads = sum((np.arange(10 ** 4) // 10 ** (3 - j) % 10 + 48) << 8 * j for j in range(4))
     return np.array(layouts, _U).T.copy(), np.array(exponents + [0] * 20, _U), quads.astype("u4")
+
+
+_LAYOUTS, _EXPONENTS, _QUADS = _tables()
 
 
 def _terms(ex: int) -> tuple[int, ...]:
@@ -167,22 +173,21 @@ def _words(tail: bytes, chunk: np.ndarray) -> np.ndarray:
     # A zero takes the digits of 1.5, less 15.
     out, digits, decpt = _digits(np.where(zero, 1.5, chunk))
     out -= zero * _U(15)
-    layouts, exponents, quads = _tables()
     key = digits * 21 + np.maximum(decpt, -4)
-    x = out * np.take(layouts[0], key)
-    y = x + x // (point := np.take(layouts[1], key)) * point * _U(9)
+    x = out * np.take(_LAYOUTS[0], key)
+    y = x + x // (point := np.take(_LAYOUTS[1], key)) * point * _U(9)
     top, low = y // _U(10 ** 10), y // _U(100)
     halves = np.stack([top, low - top * _U(10 ** 8)])
-    prefix = np.take(layouts[2], key)
+    prefix = np.take(_LAYOUTS[2], key)
     lead = int(signs.any() or prefix.any())
     text = np.zeros((lead + 3 + (len(tail) + 7) // 8, len(chunk)), _U)
     body = text[lead:lead + 3]
     hi = halves // _U(10 ** 4)
-    body[:2] = np.take(quads, hi) | np.take(quads, halves - hi * _U(10 ** 4)).astype(_U) << _U(32)
-    body[2] = np.take(quads, y - low * _U(100)) >> _U(16)
-    body -= np.take(layouts[3:6], key, axis=1)
-    body &= np.take(layouts[6:], key, axis=1)
-    body[2] |= np.take(exponents, decpt + 323)
+    body[:2] = np.take(_QUADS, hi) | np.take(_QUADS, halves - hi * _U(10 ** 4)).astype(_U) << _U(32)
+    body[2] = np.take(_QUADS, y - low * _U(100)) >> _U(16)
+    body -= np.take(_LAYOUTS[3:6], key, axis=1)
+    body &= np.take(_LAYOUTS[6:], key, axis=1)
+    body[2] |= np.take(_EXPONENTS, decpt + 323)
     text[:lead] = signs * _U(ord("-")) | prefix
     text[lead + 3:, :-1] = np.frombuffer(tail + bytes(-len(tail) % 8), "<u8")[:, None]
     return text

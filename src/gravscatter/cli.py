@@ -75,9 +75,8 @@ _CHUNK_VALUES = 4096
 _FORK_MIN_JOBS = 18
 
 
-def _csv_rows(argument, chunk: np.ndarray) -> str:
+def _csv_rows(row: str, columns: list, chunk: np.ndarray) -> str:
     """The text of one job's rows: its grid slice, then each column's values on it."""
-    row, columns = argument
     table = np.column_stack([chunk, *(column(chunk) for column in columns)])
     return row * len(chunk) % tuple(table.ravel().tolist())
 
@@ -94,12 +93,11 @@ def _csv_pieces(table: dict):
     row = ",".join(["%.9g"] * len(table)) + "\n"
     rows = max(1, _CHUNK_VALUES // len(table))
     for start in range(0, len(grid), rows):
-        yield _csv_rows, (row, columns), grid[start:start + rows]
+        yield functools.partial(_csv_rows, row, columns, grid[start:start + rows])
 
 
-def _json_values(argument, chunk: np.ndarray) -> str:
+def _json_values(json_values, separator: str, column, chunk: np.ndarray) -> str:
     """The text of one JSON job: a column's values on a grid slice, spelled by json_values."""
-    json_values, separator, column = argument
     return json_values(separator, column(chunk))
 
 
@@ -126,8 +124,8 @@ def _json_pieces(value, grid=None, pad: str = "\n"):
         column, values = (value, grid) if callable(value) else (np.asarray, value)
         for start in range(0, len(values), _CHUNK_VALUES):
             yield ("," if start else "[") + inner
-            yield (_json_values, (json_values, "," + inner, column),
-                   values[start:start + _CHUNK_VALUES])
+            yield functools.partial(_json_values, json_values, "," + inner, column,
+                                    values[start:start + _CHUNK_VALUES])
         yield pad + "]"
     else:
         yield json.dumps(value, indent=2).replace("\n", pad)
@@ -153,8 +151,8 @@ def _serve(jobs: list, sink, pipes: list) -> None:
         # from failing when the parent stops reading.
         for pipe in pipes:
             pipe.close()
-        for form, argument, chunk in jobs:
-            data = form(argument, chunk).encode()
+        for job in jobs:
+            data = job().encode()
             sink.writelines((len(data).to_bytes(8, "little"), data))
             sink.flush()
         os._exit(0)
@@ -174,12 +172,12 @@ def _frame(pipe) -> str:
 def _render(pieces: list, write) -> None:
     """Pass the text of each piece, literal text or a job, to ``write`` in order.
 
-    A job is a tuple (format, argument, chunk) whose text is
-    format(argument, chunk). With W children (_workers' count, capped at the
-    number of jobs), child w runs jobs w, w + W, ... and sends each text
-    as a frame down its own pipe, while this process relays the pieces in
-    order, holding about one job's text per child. Without, the jobs run
-    here. The text is the same either way.
+    A job is a callable that takes no argument and returns its text, as
+    _csv_pieces and _json_pieces build them. With W children (_workers'
+    count, capped at the number of jobs), child w runs jobs w, w + W, ... and
+    sends each text as a frame down its own pipe, while this process relays
+    the pieces in order, holding about one job's text per child. Without,
+    the jobs run here. The text is the same either way.
     A child that stops early or exits non-zero raises ChildProcessError.
     """
     jobs = [piece for piece in pieces if not isinstance(piece, str)]
@@ -200,8 +198,7 @@ def _render(pieces: list, write) -> None:
                 pids.append(os.fork())
                 if pids[-1] == 0:
                     _serve(jobs[w::workers], sink, pipes)
-        texts = (map(_frame, itertools.cycle(pipes)) if pipes
-                 else (form(argument, chunk) for form, argument, chunk in jobs))
+        texts = map(_frame, itertools.cycle(pipes)) if pipes else (job() for job in jobs)
         for piece in pieces:
             write(piece if isinstance(piece, str) else next(texts))
     finally:
@@ -237,14 +234,14 @@ def _check_wavelength(args, parser) -> None:
         parser.error("--lambda must be finite and positive")
 
 
-def _check_underflow(args, parser, theory: str, largest) -> None:
+def _check_underflow(args, parser, largest) -> None:
     """Stop with a usage error where the largest SI value printed, ``largest``, is 0 or subnormal.
 
     An inf counts as printable. A subnormal value has lost significant
     digits, so it counts as 0.
     """
     if largest < sys.float_info.min:
-        parser.error(f"the {theory} cross section at --lambda {args.wavelength:g} underflows "
+        parser.error(f"the {args.theory} cross section at --lambda {args.wavelength:g} underflows "
                      "to 0 or below the smallest normal float")
 
 
@@ -331,7 +328,10 @@ def _run_si(args, parser):
     # section at its maximum, psi+ at theta = 0.
     value = (si_convert(32.0, args.wavelength) if args.theory == "pqg"
              else dcs_entangled_qed(0.0, TwoPhotonPolState.psi_plus(), args.wavelength))
-    _check_underflow(args, parser, args.theory, value)
+    if value == math.inf:
+        parser.error(f"the {args.theory} cross section at --lambda {args.wavelength:g} "
+                     "overflows past the largest float")
+    _check_underflow(args, parser, value)
     label = ("32 l_P^4 / lambda^2" if args.theory == "pqg"
              else "loop prefactor times the maximal angle bracket")
     exponent = math.floor(math.log10(value))
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="reduced l_P^4/lambda^2 multiples, SI m^2/sr, or the "
                           "reduced values divided by 80 (default %(default)s)")
     dcs.add_argument("--lambda", dest="wavelength", type=float, default=None,
-                     metavar="METERS", help="photon wavelength, needed for SI units")
+                     metavar="METERS", help="reduced wavelength hbar c/E, in meters, for SI units")
     _add_output_options(dcs)
     dcs.set_defaults(handler=_run_dcs_scan, theory="pqg")
 
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     qed.add_argument("--units", choices=("reduced", "si"), default="si",
                      help="prefactor-stripped bracket or SI m^2/sr (default %(default)s)")
     qed.add_argument("--lambda", dest="wavelength", type=float, default=None,
-                     metavar="METERS", help="photon wavelength, needed for SI units")
+                     metavar="METERS", help="reduced wavelength hbar c/E, in meters, for SI units")
     _add_output_options(qed)
     qed.set_defaults(handler=_run_qed_scan, theory="qed")
 
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     si = sub.add_parser("si", help="SI magnitude summary at a given wavelength")
     si.add_argument("--lambda", dest="wavelength", type=float, required=True,
-                    metavar="METERS", help="photon wavelength")
+                    metavar="METERS", help="reduced wavelength hbar c/E, in meters")
     si.add_argument("--theory", choices=("pqg", "qed"), default="pqg",
                     help="which scale to report (default %(default)s)")
     _add_output_options(si, formats=("text", "json"))
@@ -480,7 +480,7 @@ def main(argv=None) -> int:
                 grid, *columns = plain.values()
                 largest = _largest(grid, columns)
                 if getattr(args, "units", None) == "si":
-                    _check_underflow(args, parser, args.theory, largest)
+                    _check_underflow(args, parser, largest)
         if args.format == "json":
             pieces = itertools.chain(
                 _json_pieces({"command": args.command, **fields}, grid), ["\n"])

@@ -2,7 +2,8 @@
 
 The gravitational cross sections come out as pure angle functions times
 l_P^4 / lambda^2, with l_P the Planck length and lambda = hbar c / E the
-photon wavelength in the center-of-momentum frame; functions named dcs_*
+reduced photon wavelength (the ordinary one over 2 pi) in the
+center-of-momentum frame; functions named dcs_*
 return the reduced angle function unless stated otherwise. The general rule
 connecting an initial two-photon polarization state with coefficients c and
 the reduced amplitudes m at one angle, indexed [in1, in2, out1, out2], is

@@ -394,7 +394,9 @@ class TestUnevaluableInputs:
           "--format", "json"], "divide by zero"),
         (["amp-table", "--theta-min", "1e-170"], "divide by zero"),
         (["amp-table", "--theta-min", "1e-170", "--format", "json"], "divide by zero"),
-        (["si", "--lambda", "1e-250"], "outside floating-point range"),
+        (["si", "--lambda", "1e-250"],
+         "the pqg cross section at --lambda 1e-250 overflows past the largest float"),
+        (["si", "--lambda", "1e-223", "--format", "json"], "overflows past the largest float"),
         (["qed-scan", "--lambda", "1e-80"], "division by zero"),
         (["dcs-scan", "--units", "si", "--lambda", "1e300"], "out of range"),
         (["coincidence-scan", "--delta-max", "inf"], "finite"),
@@ -446,7 +448,9 @@ class TestUnevaluableInputs:
         (["coincidence-scan", "--samples", "1"], "--samples must be at least 2"),
     ])
     def test_usage_error(self, argv, words, capsys):
-        assert words in self._error_line(argv, capsys)
+        last = self._error_line(argv, capsys)
+        assert words in last
+        assert "cannot convert" not in last  # Python's text for int(inf)
 
     @pytest.mark.parametrize("argv", [
         ["coincidence-scan", "--delta-min=-1e308", "--delta-max=1e308"],
@@ -605,6 +609,21 @@ def test_missing_command_is_usage_error():
     assert excinfo.value.code == 2
 
 
+def test_lambda_help_names_the_reduced_wavelength(capsys):
+    # The library's wavelength is hbar c/E. An ordinary wavelength would
+    # give rates (2 pi)^2 too small for gravity and (2 pi)^6 for QED.
+    with_lambda = []
+    for command in ("amp-table", "dcs-scan", "qed-scan", "coincidence-scan", "verify", "si"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        if "--lambda METERS " in text:
+            with_lambda.append(command)
+            assert "--lambda METERS reduced wavelength hbar c/E, in meters" in text, command
+    assert with_lambda == ["dcs-scan", "qed-scan", "si"]
+
+
 def test_theta_formatting_has_nine_significant_digits(capsys):
     assert main(["dcs-scan", "--samples", "2", "--theta-min",
                  "1.234567891234", "--theta-max", "2.0"]) == 0
@@ -730,10 +749,10 @@ class TestFormattingWorkers:
         real = cli._csv_rows
         failing_start = float(table.splitlines()[51].split(",")[0])
 
-        def failing(row, chunk):
+        def failing(row, columns, chunk):
             if float("%.9g" % chunk[0]) == failing_start:
                 raise RuntimeError("job failed")
-            return real(row, chunk)
+            return real(row, columns, chunk)
 
         monkeypatch.setattr(cli, "_csv_rows", failing)
         monkeypatch.setattr(cli, "_CHUNK_VALUES", 50)

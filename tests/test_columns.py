@@ -564,7 +564,7 @@ def test_csv_jobs_hold_at_most_chunk_values():
     # view of its rows' grid slice; the other columns are computed as it runs.
     grid = np.arange(10_000.0)
     table = {"theta": grid, **{f"c{k}": np.negative for k in range(16)}}
-    jobs = [piece[2] for piece in _csv_pieces(table) if not isinstance(piece, str)]
+    jobs = [piece.args[-1] for piece in _csv_pieces(table) if not isinstance(piece, str)]
     assert all(chunk.base is grid for chunk in jobs)
     assert max(17 * len(chunk) for chunk in jobs) == 17 * (cli._CHUNK_VALUES // 17)
     assert sum(len(chunk) for chunk in jobs) == 10_000

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from gravscatter import cli
+from gravscatter import _json_floats, cli
 from gravscatter.amplitudes import PATTERN_NAMES
 from gravscatter.cli import main
 
@@ -276,6 +276,21 @@ def test_output_file_matches_stdout(monkeypatch, tmp_path):
     path = tmp_path / "fringes.json"
     assert main([*shlex.split(argv), "--output", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_workers_inherit_the_json_kernel_tables(monkeypatch):
+    # The kernel builds its tables when the writer imports it, in this
+    # process, before the fork; a worker that built them again would fail.
+    def rebuilt():
+        raise AssertionError("the JSON kernel's tables were built after import")
+
+    argv, code, digest = GOLDEN_BY_ARGV[
+        "dcs-scan --units si --lambda 7.3e-05 --samples 20000 --format json"]
+    monkeypatch.setattr(_json_floats, "_tables", rebuilt)
+    monkeypatch.setattr(cli, "_workers", lambda jobs: 2)
+    got_code, out = _stdout_of(argv)
+    assert got_code == code
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 needs_two_cpus = pytest.mark.skipif(
