@@ -4,14 +4,17 @@ Subcommands cover amplitude tables, gravitational and loop-induced cross
 section scans, coincidence-fringe scans, SI magnitude summaries and the
 verification gate, which gravscatter.verify runs on the command's angle
 grid. All angles are radians. Exit codes: 0 on success, 1 when verification
-fails, 2 on usage errors, a grid that reaches a pole and a --samples too
-large to allocate included, and on output errors (an unwritable --output or
-stdout, or a failed formatting worker), reported on one line of stderr. A
-stdout closed by its reader (``| head``) ends the command quietly with 141,
-the status of a program stopped by SIGPIPE.
+fails, 2 on usage errors, a grid that reaches a pole, a --samples too large
+to allocate and a QED SI --lambda at or below the electron's reduced Compton
+wavelength included, and on output errors (an unwritable --output or stdout,
+or a failed formatting worker), reported on one line of stderr. A stdout
+closed by its reader (``| head``) ends the command quietly with 141, the
+status of a program stopped by SIGPIPE.
 
-Each subcommand handler returns its result, and main alone writes it in the
-chosen format. A scan's table holds one array, its grid; every other column
+A check raises ValueError with its message where it finds a usage error,
+and main alone reports it. Each subcommand handler takes the parsed
+arguments and returns its result, and main alone writes it in the chosen
+format. A scan's table holds one array, its grid; every other column
 comes from a function of a grid slice. Before any byte is written, main
 evaluates every column once over the grid, in chunks of _CHUNK_VALUES
 angles, and keeps only their running maximum, so a pole or an SI value that
@@ -38,8 +41,9 @@ import warnings
 
 import numpy as np
 
-from .amplitudes import PATTERN_NAMES, PoleError, _closed_form_column
+from .amplitudes import PATTERN_NAMES, _closed_form_column
 from .coincidence import coincidence_factor
+from .constants import COMPTON_WAVELENGTH
 from .cross_sections import (
     TwoPhotonPolState,
     dcs_averaged,
@@ -70,7 +74,7 @@ _CANONICAL_STATES = {"dcs_product": TwoPhotonPolState(0.0, 0.0),
 _CHUNK_VALUES = 4096
 # Tables of fewer jobs are formatted in this process: a worker costs about
 # 5 ms to fork, feed through a pipe and reap, a value 0.3-0.9 us to format
-# as CSV and 0.17-0.18 us as JSON. A JSON array is at least one job, so this
+# as CSV and 0.2-0.3 us as JSON. A JSON array is at least one job, so this
 # exceeds amp-table's 17 columns: every table forks from about 2^16 values.
 _FORK_MIN_JOBS = 18
 
@@ -209,40 +213,44 @@ def _render(pieces: list, write) -> None:
         raise ChildProcessError(f"a formatting worker ended with wait status {max(statuses)}")
 
 
-def _theta_grid(args, parser) -> np.ndarray:
+def _theta_grid(args) -> np.ndarray:
     if not 0.0 < args.theta_min < args.theta_max < math.pi:  # NaN included
-        parser.error("need 0 < --theta-min < --theta-max < pi")
-    return _grid(args.theta_min, args.theta_max, args.samples, parser)
+        raise ValueError("need 0 < --theta-min < --theta-max < pi")
+    return _grid(args.theta_min, args.theta_max, args.samples)
 
 
-def _grid(start: float, stop: float, samples: int, parser) -> np.ndarray:
-    """np.linspace(start, stop, samples), or a usage error for a count it refuses."""
+def _grid(start: float, stop: float, samples: int) -> np.ndarray:
+    """np.linspace(start, stop, samples), or a ValueError for a count it refuses."""
     if samples < 2:
-        parser.error("--samples must be at least 2")
+        raise ValueError("--samples must be at least 2")
     try:
         return np.linspace(start, stop, samples)
     except ValueError:  # numpy's "Maximum allowed size exceeded"
-        parser.error(f"--samples {samples} is too large to allocate")
+        raise ValueError(f"--samples {samples} is too large to allocate") from None
 
 
-def _check_wavelength(args, parser) -> None:
-    # `si` requires --lambda, so only the scans reach the --units test.
+def _check_wavelength(args) -> None:
     if args.wavelength is None:
         if args.units == "si":
-            parser.error("--lambda is required with --units si")
+            raise ValueError("--lambda is required with --units si")
     elif not 0.0 < args.wavelength < math.inf:
-        parser.error("--lambda must be finite and positive")
+        raise ValueError("--lambda must be finite and positive")
+    elif args.theory == "qed" and args.units == "si" and args.wavelength <= COMPTON_WAVELENGTH:
+        raise ValueError(f"the qed cross section at --lambda {args.wavelength:g} needs lambda "
+                         "above the electron's reduced Compton wavelength, "
+                         f"{COMPTON_WAVELENGTH:.6g} m: the low-energy loop formula fails at "
+                         "the pair threshold")
 
 
-def _check_underflow(args, parser, largest) -> None:
-    """Stop with a usage error where the largest SI value printed, ``largest``, is 0 or subnormal.
+def _check_underflow(args, largest) -> None:
+    """Raise ValueError where the largest SI value printed, ``largest``, is 0 or subnormal.
 
     An inf counts as printable. A subnormal value has lost significant
     digits, so it counts as 0.
     """
     if largest < sys.float_info.min:
-        parser.error(f"the {args.theory} cross section at --lambda {args.wavelength:g} underflows "
-                     "to 0 or below the smallest normal float")
+        raise ValueError(f"the {args.theory} cross section at --lambda {args.wavelength:g} "
+                         "underflows to 0 or below the smallest normal float")
 
 
 def _largest(grid: np.ndarray, columns: list) -> float:
@@ -265,21 +273,22 @@ def _converted(column, convert, argument):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (fields, plain), the JSON object after
+# subcommand handlers: each takes the parsed arguments, raises ValueError
+# on a usage error and returns (fields, plain), the JSON object after
 # "command" and either a scan's table, its grid and then functions of a grid
 # slice, or the text that verify and si print
 
-def _run_amp_table(args, parser):
-    grid = _theta_grid(args, parser)
+def _run_amp_table(args):
+    grid = _theta_grid(args)
     elements = {name: functools.partial(_closed_form_column, pattern=name)
                 for name in PATTERN_NAMES}
     table = {"theta": grid, **{f"m_{name}": column for name, column in elements.items()}}
     return {"theta": grid, "elements": elements}, table
 
 
-def _run_dcs_scan(args, parser):
-    grid = _theta_grid(args, parser)
-    _check_wavelength(args, parser)
+def _run_dcs_scan(args):
+    grid = _theta_grid(args)
+    _check_wavelength(args)
     columns = {name: functools.partial(dcs_entangled_pqg, state=state)
                for name, state in _CANONICAL_STATES.items()}
     columns["dcs_averaged"] = dcs_averaged
@@ -292,9 +301,9 @@ def _run_dcs_scan(args, parser):
     return {"units": args.units, "wavelength_m": args.wavelength, **table}, table
 
 
-def _run_qed_scan(args, parser):
-    grid = _theta_grid(args, parser)
-    _check_wavelength(args, parser)
+def _run_qed_scan(args):
+    grid = _theta_grid(args)
+    _check_wavelength(args)
     column = (functools.partial(dcs_entangled_qed, wavelength=args.wavelength)
               if args.units == "si" else qed_bracket)
     table = {"theta": grid, **{name: functools.partial(column, state=state)
@@ -302,36 +311,33 @@ def _run_qed_scan(args, parser):
     return {"units": args.units, "wavelength_m": args.wavelength, **table}, table
 
 
-def _run_coincidence_scan(args, parser):
+def _run_coincidence_scan(args):
     if not -math.inf < args.delta_min < args.delta_max < math.inf:
-        parser.error("need finite --delta-min < --delta-max")
-    grid = _grid(args.delta_min, args.delta_max, args.samples, parser)
-    try:
-        state = TwoPhotonPolState(args.phi, args.rho)
-    except ValueError as error:
-        parser.error(str(error))
+        raise ValueError("need finite --delta-min < --delta-max")
+    grid = _grid(args.delta_min, args.delta_max, args.samples)
+    state = TwoPhotonPolState(args.phi, args.rho)
     table = {"delta": grid, "factor": functools.partial(coincidence_factor, state=state)}
     return {"phi": args.phi, "rho": args.rho, **table}, table
 
 
-def _run_verify(args, parser):
-    grid = _theta_grid(args, parser)
+def _run_verify(args):
+    grid = _theta_grid(args)
     if not math.isfinite(args.perturb_vertex):
-        parser.error("--perturb-vertex must be finite")
+        raise ValueError("--perturb-vertex must be finite")
     return build_verify_report(grid, vertex_perturbation=args.perturb_vertex)
 
 
-def _run_si(args, parser):
-    _check_wavelength(args, parser)
+def _run_si(args):
+    _check_wavelength(args)
     # pqg: the product state's right-angle value, 32 (the psi+ Bell state
     # gives 64), times the Planck-length conversion. qed: the loop cross
     # section at its maximum, psi+ at theta = 0.
     value = (si_convert(32.0, args.wavelength) if args.theory == "pqg"
              else dcs_entangled_qed(0.0, TwoPhotonPolState.psi_plus(), args.wavelength))
     if value == math.inf:
-        parser.error(f"the {args.theory} cross section at --lambda {args.wavelength:g} "
-                     "overflows past the largest float")
-    _check_underflow(args, parser, value)
+        raise ValueError(f"the {args.theory} cross section at --lambda {args.wavelength:g} "
+                         "overflows past the largest float")
+    _check_underflow(args, value)
     label = ("32 l_P^4 / lambda^2" if args.theory == "pqg"
              else "loop prefactor times the maximal angle bracket")
     exponent = math.floor(math.log10(value))
@@ -356,11 +362,13 @@ def _add_theta_options(sub, theta_min=DEFAULT_THETA_MIN, theta_max=DEFAULT_THETA
                      help="number of grid points (default %(default)s)")
 
 
-def _add_output_options(sub, formats=("csv", "json")):
+def _add_output_options(sub, handler, formats=("csv", "json"), **defaults):
+    """Add --format and --output, and set the subcommand's handler and other defaults."""
     sub.add_argument("--format", choices=formats, default=formats[0],
                      help="output format (default %(default)s)")
     sub.add_argument("--output", metavar="PATH", default=None,
                      help="write to PATH instead of stdout")
+    sub.set_defaults(handler=handler, **defaults)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -402,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     amp = sub.add_parser("amp-table",
                          help="tabulate the 16 closed-form amplitude elements")
     _add_theta_options(amp)
-    _add_output_options(amp)
-    amp.set_defaults(handler=_run_amp_table)
+    _add_output_options(amp, _run_amp_table)
 
     dcs = sub.add_parser("dcs-scan",
                          help="gravitational cross sections for the canonical states")
@@ -414,18 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
                           "reduced values divided by 80 (default %(default)s)")
     dcs.add_argument("--lambda", dest="wavelength", type=float, default=None,
                      metavar="METERS", help="reduced wavelength hbar c/E, in meters, for SI units")
-    _add_output_options(dcs)
-    dcs.set_defaults(handler=_run_dcs_scan, theory="pqg")
+    _add_output_options(dcs, _run_dcs_scan, theory="pqg")
 
     qed = sub.add_parser("qed-scan",
                          help="electron-loop cross sections for the canonical states")
     _add_theta_options(qed)
     qed.add_argument("--units", choices=("reduced", "si"), default="si",
                      help="prefactor-stripped bracket or SI m^2/sr (default %(default)s)")
-    qed.add_argument("--lambda", dest="wavelength", type=float, default=None,
-                     metavar="METERS", help="reduced wavelength hbar c/E, in meters, for SI units")
-    _add_output_options(qed)
-    qed.set_defaults(handler=_run_qed_scan, theory="qed")
+    qed.add_argument("--lambda", dest="wavelength", type=float, default=None, metavar="METERS",
+                     help="reduced wavelength hbar c/E, in meters, for SI units: above the "
+                          f"electron's reduced Compton wavelength, {COMPTON_WAVELENGTH:.6g} m")
+    _add_output_options(qed, _run_qed_scan, theory="qed")
 
     coin = sub.add_parser("coincidence-scan",
                           help="joint-detection modulation versus the phase delta")
@@ -439,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="phase grid end (default 2 pi)")
     coin.add_argument("--samples", type=int, default=100,
                       help="number of grid points (default %(default)s)")
-    _add_output_options(coin)
-    coin.set_defaults(handler=_run_coincidence_scan)
+    _add_output_options(coin, _run_coincidence_scan)
 
     verify = sub.add_parser("verify",
                             help="replay the diagram evaluation against the closed forms")
@@ -451,16 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     # Accepted and ignored, for callers that still pass it; the gauge row
     # draws nothing since it scores the Ward amplitude.
     verify.add_argument("--seed", type=int, help=argparse.SUPPRESS)
-    _add_output_options(verify, formats=("text", "json"))
-    verify.set_defaults(handler=_run_verify)
+    _add_output_options(verify, _run_verify, ("text", "json"))
 
     si = sub.add_parser("si", help="SI magnitude summary at a given wavelength")
-    si.add_argument("--lambda", dest="wavelength", type=float, required=True,
-                    metavar="METERS", help="reduced wavelength hbar c/E, in meters")
+    si.add_argument("--lambda", dest="wavelength", type=float, required=True, metavar="METERS",
+                    help="reduced wavelength hbar c/E, in meters; for qed, above the "
+                         f"electron's reduced Compton wavelength, {COMPTON_WAVELENGTH:.6g} m")
     si.add_argument("--theory", choices=("pqg", "qed"), default="pqg",
                     help="which scale to report (default %(default)s)")
-    _add_output_options(si, formats=("text", "json"))
-    si.set_defaults(handler=_run_si)
+    _add_output_options(si, _run_si, ("text", "json"), units="si")
 
     return parser
 
@@ -474,27 +478,27 @@ def main(argv=None) -> int:
         # or an invalid operation means an input sits on a pole or beyond
         # the floating-point range, as does a scalar ArithmeticError.
         with np.errstate(all="ignore", divide="raise", invalid="raise"):
-            fields, plain = args.handler(args, parser)
+            fields, plain = args.handler(args)
             grid = None
             if isinstance(plain, dict):
                 grid, *columns = plain.values()
                 largest = _largest(grid, columns)
                 if getattr(args, "units", None) == "si":
-                    _check_underflow(args, parser, largest)
-        if args.format == "json":
-            pieces = itertools.chain(
-                _json_pieces({"command": args.command, **fields}, grid), ["\n"])
-        elif args.format == "csv":
-            pieces = _csv_pieces(plain)
-        else:
-            pieces = [plain]
-        # The pass above raised on anything the jobs could meet but an
-        # overflow to inf, which they print without a warning.
-        with open(args.output, "w", encoding="utf-8") if args.output is not None \
-                else contextlib.nullcontext(sys.stdout) as out, np.errstate(all="ignore"):
-            _render(list(pieces), out.write)
-            out.flush()
-    except PoleError as error:
+                    _check_underflow(args, largest)
+            if args.format == "json":
+                pieces = itertools.chain(
+                    _json_pieces({"command": args.command, **fields}, grid), ["\n"])
+            elif args.format == "csv":
+                pieces = _csv_pieces(plain)
+            else:
+                pieces = [plain]
+            # The pass above evaluated every column as the jobs will, so they
+            # meet no division by zero or invalid operation here.
+            with open(args.output, "w", encoding="utf-8") if args.output is not None \
+                    else contextlib.nullcontext(sys.stdout) as out:
+                _render(list(pieces), out.write)
+                out.flush()
+    except ValueError as error:  # a usage error, PoleError included
         parser.error(str(error))
     except MemoryError:
         parser.error("cannot allocate the arrays: --samples is too large")

@@ -1,5 +1,6 @@
 """Command-line interface behavior, exit codes, and output formats."""
 
+import argparse
 import contextlib
 import itertools
 import json
@@ -21,6 +22,7 @@ from numpy.testing import assert_allclose
 from gravscatter import cli, verify
 from gravscatter.amplitudes import channel_amplitudes
 from gravscatter.cli import VERIFY_THETA_MAX, VERIFY_THETA_MIN, main
+from gravscatter.constants import COMPTON_WAVELENGTH
 from gravscatter.cross_sections import si_convert
 from gravscatter.kinematics import com_arrays
 from gravscatter.verify import build_verify_report
@@ -377,6 +379,19 @@ class TestSiSummary:
             main(["si", "--lambda", "-1e-7"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv, line", [
+        # Just above the electron's reduced Compton wavelength, the QED floor
+        (["si", "--theory", "qed", "--lambda", "4e-13"], "dcs_scale_m2_sr: 4.950011e-36\n"),
+        (["si", "--theory", "qed", "--lambda", repr(math.nextafter(COMPTON_WAVELENGTH, 1.0))],
+         "exponent: -36\n"),
+        # The reduced bracket carries no wavelength, so it has no floor.
+        (["qed-scan", "--units", "reduced", "--lambda", "1e-80", "--samples", "2"],
+         "0.01,1639.9312,2311.9592,967.903203\n"),
+    ])
+    def test_qed_wavelength_floor_spares(self, argv, line, capsys):
+        assert main(argv) == 0
+        assert line in capsys.readouterr().out
+
     def test_smallest_normal_values_print(self, capsys):
         # 2.18e-306 is a normal float, if only just: 1e85 gives a subnormal
         assert main(["si", "--lambda", "1e84"]) == 0
@@ -397,7 +412,7 @@ class TestUnevaluableInputs:
         (["si", "--lambda", "1e-250"],
          "the pqg cross section at --lambda 1e-250 overflows past the largest float"),
         (["si", "--lambda", "1e-223", "--format", "json"], "overflows past the largest float"),
-        (["qed-scan", "--lambda", "1e-80"], "division by zero"),
+        (["qed-scan", "--lambda", "1e-80"], "above the electron's reduced Compton wavelength"),
         (["dcs-scan", "--units", "si", "--lambda", "1e300"], "out of range"),
         (["coincidence-scan", "--delta-max", "inf"], "finite"),
         (["dcs-scan", "--theta-min", "nan"], "need 0 < --theta-min < --theta-max < pi"),
@@ -446,6 +461,13 @@ class TestUnevaluableInputs:
         (["coincidence-scan", "--samples", "10000000000000000000"], "--samples"),
         (["coincidence-scan", "--samples", "100000000000000000"], "--samples"),
         (["coincidence-scan", "--samples", "1"], "--samples must be at least 2"),
+        # The loop formula holds only well above lambda_C; the bound is named.
+        (["si", "--theory", "qed", "--lambda", "1e-60"],
+         "the qed cross section at --lambda 1e-60 needs lambda above the electron's reduced "
+         "Compton wavelength, 3.86159e-13 m"),
+        (["si", "--theory", "qed", "--lambda", "1e-15"],
+         "reduced Compton wavelength, 3.86159e-13 m"),
+        (["si", "--theory", "qed", "--lambda", repr(COMPTON_WAVELENGTH)], "pair threshold"),
     ])
     def test_usage_error(self, argv, words, capsys):
         last = self._error_line(argv, capsys)
@@ -460,6 +482,21 @@ class TestUnevaluableInputs:
         # Neither command has --lambda, so the catch-all hint must not name it.
         last = self._error_line(argv, capsys)
         assert "cannot evaluate (" in last and "--lambda" not in last
+
+    @pytest.mark.parametrize("handler, fields, message", [
+        (cli._run_si, {"wavelength": 0.0, "theory": "pqg", "units": "si", "format": "text"},
+         "--lambda must be finite and positive"),
+        (cli._run_coincidence_scan, {"phi": 2.0, "rho": 0.0, "delta_min": 0.0, "delta_max": 1.0,
+                                     "samples": 5, "format": "csv"},
+         "phi must lie in [0, pi/2], got 2.0"),
+    ])
+    def test_handler_raises_the_usage_error(self, handler, fields, message, capsys):
+        # A handler takes the parsed arguments alone and raises where it
+        # finds the fault; only main reports it, so nothing is written here.
+        with pytest.raises(ValueError) as excinfo:
+            handler(argparse.Namespace(**fields))
+        assert str(excinfo.value) == message
+        assert capsys.readouterr() == ("", "")
 
     @staticmethod
     def _error_line(argv, capsys) -> str:
