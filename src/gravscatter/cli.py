@@ -4,12 +4,14 @@ Subcommands cover amplitude tables, gravitational and loop-induced cross
 section scans, coincidence-fringe scans, SI magnitude summaries and the
 verification gate, which gravscatter.verify runs on the command's angle
 grid. All angles are radians. Exit codes: 0 on success, 1 when verification
-fails, 2 on usage errors, a grid that reaches a pole, a --samples too large
-to allocate and a QED SI --lambda at or below the electron's reduced Compton
-wavelength included, and on output errors (an unwritable --output or stdout,
-or a failed formatting worker), reported on one line of stderr. A stdout
-closed by its reader (``| head``) ends the command quietly with 141, the
-status of a program stopped by SIGPIPE.
+fails, 2 on usage errors, and on output errors (an unwritable --output or
+stdout, or a failed formatting worker), reported on one line of stderr.
+Usage errors include a grid that reaches a pole, a --samples too large to
+allocate, and an SI --lambda at or below its formula's floor, which
+gravscatter.cross_sections refuses: the Planck length for gravity, the
+electron's reduced Compton wavelength for QED. A stdout closed by its
+reader (``| head``) ends the command quietly with 141, the status of a
+program stopped by SIGPIPE.
 
 A check raises ValueError with its message where it finds a usage error,
 and main alone reports it. Each subcommand handler takes the parsed
@@ -17,14 +19,15 @@ arguments and returns its result, and main alone writes it in the chosen
 format. A scan's table holds one array, its grid; every other column
 comes from a function of a grid slice. Before any byte is written, main
 evaluates every column once over the grid, in chunks of _CHUNK_VALUES
-angles, and keeps only their running maximum, so a pole or an SI value that
-underflows is a usage error with nothing printed. The writer then cuts the
-table into formatting jobs of up to _CHUNK_VALUES values: whole rows for
-CSV, one column's values for JSON. A job holds a view of its grid slice and
-computes its own values as it runs, so no other column of the table exists
-whole. A table of _FORK_MIN_JOBS jobs or more runs them in forked workers,
-one per usable CPU and no more than there are jobs, and the bytes written do
-not depend on how many there are.
+angles, and keeps only their running maximum, so a pole, a --lambda at or
+below a floor, or an SI value that underflows is a usage error with nothing
+printed. The writer then cuts the table into formatting jobs of up to
+_CHUNK_VALUES values: whole rows for CSV, one column's values for JSON. A
+job holds a view of its grid slice and computes its own values as it runs,
+so no other column of the table exists whole. A table of _FORK_MIN_JOBS
+jobs or more runs them in forked workers, one per usable CPU and no more
+than there are jobs, and the bytes written do not depend on how many there
+are.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 
 from .amplitudes import PATTERN_NAMES, _closed_form_column
 from .coincidence import coincidence_factor
-from .constants import COMPTON_WAVELENGTH
+from .constants import COMPTON_WAVELENGTH, PLANCK_LENGTH
 from .cross_sections import (
     TwoPhotonPolState,
     dcs_averaged,
@@ -230,16 +233,10 @@ def _grid(start: float, stop: float, samples: int) -> np.ndarray:
 
 
 def _check_wavelength(args) -> None:
-    if args.wavelength is None:
-        if args.units == "si":
-            raise ValueError("--lambda is required with --units si")
-    elif not 0.0 < args.wavelength < math.inf:
+    if args.wavelength is None and args.units == "si":
+        raise ValueError("--lambda is required with --units si")
+    if args.wavelength is not None and not 0.0 < args.wavelength < math.inf:
         raise ValueError("--lambda must be finite and positive")
-    elif args.theory == "qed" and args.units == "si" and args.wavelength <= COMPTON_WAVELENGTH:
-        raise ValueError(f"the qed cross section at --lambda {args.wavelength:g} needs lambda "
-                         "above the electron's reduced Compton wavelength, "
-                         f"{COMPTON_WAVELENGTH:.6g} m: the low-energy loop formula fails at "
-                         "the pair threshold")
 
 
 def _check_underflow(args, largest) -> None:
@@ -334,9 +331,6 @@ def _run_si(args):
     # section at its maximum, psi+ at theta = 0.
     value = (si_convert(32.0, args.wavelength) if args.theory == "pqg"
              else dcs_entangled_qed(0.0, TwoPhotonPolState.psi_plus(), args.wavelength))
-    if value == math.inf:
-        raise ValueError(f"the {args.theory} cross section at --lambda {args.wavelength:g} "
-                         "overflows past the largest float")
     _check_underflow(args, value)
     label = ("32 l_P^4 / lambda^2" if args.theory == "pqg"
              else "loop prefactor times the maximal angle bracket")
@@ -419,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default="reduced",
                      help="reduced l_P^4/lambda^2 multiples, SI m^2/sr, or the "
                           "reduced values divided by 80 (default %(default)s)")
-    dcs.add_argument("--lambda", dest="wavelength", type=float, default=None,
-                     metavar="METERS", help="reduced wavelength hbar c/E, in meters, for SI units")
+    dcs.add_argument("--lambda", dest="wavelength", type=float, default=None, metavar="METERS",
+                     help="reduced wavelength hbar c/E, in meters, for SI units: above the "
+                          f"Planck length, {PLANCK_LENGTH:.6g} m")
     _add_output_options(dcs, _run_dcs_scan, theory="pqg")
 
     qed = sub.add_parser("qed-scan",
@@ -460,11 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     si = sub.add_parser("si", help="SI magnitude summary at a given wavelength")
     si.add_argument("--lambda", dest="wavelength", type=float, required=True, metavar="METERS",
-                    help="reduced wavelength hbar c/E, in meters; for qed, above the "
-                         f"electron's reduced Compton wavelength, {COMPTON_WAVELENGTH:.6g} m")
+                    help="reduced wavelength hbar c/E, in meters: above the Planck length for "
+                         "pqg, above the electron's reduced Compton wavelength for qed")
     si.add_argument("--theory", choices=("pqg", "qed"), default="pqg",
                     help="which scale to report (default %(default)s)")
-    _add_output_options(si, _run_si, ("text", "json"), units="si")
+    _add_output_options(si, _run_si, ("text", "json"))
 
     return parser
 

@@ -18,6 +18,13 @@ w = sin(2 phi) cos(rho). The electron loop channel carries its own SI
 prefactor built from the fine-structure constant and the electron Compton
 wavelength, so those values are returned directly in m^2 per steradian.
 
+Each SI formula holds only above its own wavelength floor and raises
+ValueError at or below it, naming the bound: si_convert above the Planck
+length, where perturbative quantum gravity breaks down at the Planck energy,
+and dcs_entangled_qed above the electron's reduced Compton wavelength, where
+the low-energy loop formula fails at the pair threshold. The reduced angle
+functions carry no wavelength and no floor.
+
 The angle functions take a float, a sequence or an array of angles, read
 as float64, and return a float for a number and an array otherwise.
 Powers of a per-angle value go through np.float_power, so an array gives,
@@ -112,6 +119,17 @@ def _check_wavelength(wavelength) -> None:
         raise ValueError(f"wavelength must be finite and positive, got {wavelength}")
 
 
+def _check_floor(wavelength, floor: float, name: str, failure: str) -> None:
+    """Raise ValueError unless the wavelength is finite and above ``floor``.
+
+    ``name`` names the floor and ``failure`` says what fails at or below it.
+    """
+    _check_wavelength(wavelength)
+    if wavelength <= floor:
+        raise ValueError(f"wavelength {wavelength:g} m must lie above {name}, "
+                         f"{floor:.6g} m: {failure}")
+
+
 def dcs_averaged(theta):
     """Polarization-averaged reduced cross section.
 
@@ -185,9 +203,12 @@ def dcs_entangled_qed(theta, state: TwoPhotonPolState, wavelength: float):
 
     The SI prefactor is alpha^4 lambda_C^8 / (2 * 45^2 * (2 pi)^2 lambda^6)
     with lambda_C the reduced electron Compton wavelength and lambda the
-    photon wavelength in meters.
+    photon wavelength in meters. The formula is the low-energy limit of the
+    electron loop: it needs lambda >> lambda_C and fails at the pair
+    threshold, so a wavelength at or below lambda_C raises ValueError.
     """
-    _check_wavelength(wavelength)
+    _check_floor(wavelength, COMPTON_WAVELENGTH, "the electron's reduced Compton wavelength",
+                 "the low-energy loop formula fails at the pair threshold")
     numerator = (FINE_STRUCTURE ** 4 / (2.0 * 45.0 ** 2 * (2.0 * math.pi) ** 2)
                  * COMPTON_WAVELENGTH ** 8)
     prefactor = numerator / wavelength ** 6
@@ -199,11 +220,13 @@ def dcs_entangled_qed(theta, state: TwoPhotonPolState, wavelength: float):
 
 
 def si_convert(reduced, wavelength: float):
-    """Reduced gravitational value times l_P^4 / lambda^2, in m^2 per steradian."""
-    _check_wavelength(wavelength)
+    """Reduced gravitational value times l_P^4 / lambda^2, in m^2 per steradian.
+
+    Perturbative quantum gravity holds only for photon energies far below
+    the Planck energy, so a wavelength at or below the Planck length l_P
+    raises ValueError. Above it lambda^2 is a normal float.
+    """
+    _check_floor(wavelength, PLANCK_LENGTH, "the Planck length",
+                 "perturbative quantum gravity fails at the Planck energy")
     values = np.asarray(reduced, dtype=np.float64)
-    if wavelength ** 2 < sys.float_info.min:
-        # Below about 1.5e-154 m the square is subnormal or zero, and would
-        # carry its rounding or divide by zero.
-        return _like(values, values * PLANCK_LENGTH ** 4 / wavelength / wavelength)
     return _like(values, values * PLANCK_LENGTH ** 4 / wavelength ** 2)

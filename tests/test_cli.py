@@ -22,7 +22,7 @@ from numpy.testing import assert_allclose
 from gravscatter import cli, verify
 from gravscatter.amplitudes import channel_amplitudes
 from gravscatter.cli import VERIFY_THETA_MAX, VERIFY_THETA_MIN, main
-from gravscatter.constants import COMPTON_WAVELENGTH
+from gravscatter.constants import COMPTON_WAVELENGTH, PLANCK_LENGTH
 from gravscatter.cross_sections import si_convert
 from gravscatter.kinematics import com_arrays
 from gravscatter.verify import build_verify_report
@@ -384,11 +384,18 @@ class TestSiSummary:
         (["si", "--theory", "qed", "--lambda", "4e-13"], "dcs_scale_m2_sr: 4.950011e-36\n"),
         (["si", "--theory", "qed", "--lambda", repr(math.nextafter(COMPTON_WAVELENGTH, 1.0))],
          "exponent: -36\n"),
-        # The reduced bracket carries no wavelength, so it has no floor.
+        # Just above the Planck length, the gravity floor, where the largest
+        # gravity value is normal: 8.359297e-69
+        (["si", "--lambda", "2e-35"], "dcs_scale_m2_sr: 5.459207e-69\n"),
+        (["si", "--lambda", repr(math.nextafter(PLANCK_LENGTH, 1.0))],
+         "dcs_scale_m2_sr: 8.359297e-69\n"),
+        # Reduced values carry no wavelength, so they have no floor.
         (["qed-scan", "--units", "reduced", "--lambda", "1e-80", "--samples", "2"],
          "0.01,1639.9312,2311.9592,967.903203\n"),
+        (["dcs-scan", "--units", "reduced", "--lambda", "1e-250", "--samples", "3"],
+         "1.57079633,32,64,4.13769353e-31,32.25\n"),
     ])
-    def test_qed_wavelength_floor_spares(self, argv, line, capsys):
+    def test_wavelength_floor_spares(self, argv, line, capsys):
         assert main(argv) == 0
         assert line in capsys.readouterr().out
 
@@ -409,9 +416,14 @@ class TestUnevaluableInputs:
           "--format", "json"], "divide by zero"),
         (["amp-table", "--theta-min", "1e-170"], "divide by zero"),
         (["amp-table", "--theta-min", "1e-170", "--format", "json"], "divide by zero"),
+        # Perturbative gravity holds only above the Planck length; the bound is named.
         (["si", "--lambda", "1e-250"],
-         "the pqg cross section at --lambda 1e-250 overflows past the largest float"),
-        (["si", "--lambda", "1e-223", "--format", "json"], "overflows past the largest float"),
+         "wavelength 1e-250 m must lie above the Planck length, 1.61626e-35 m"),
+        (["si", "--lambda", "1e-223", "--format", "json"], "above the Planck length"),
+        (["si", "--lambda", "1e-40"], "above the Planck length, 1.61626e-35 m"),
+        (["si", "--lambda", repr(PLANCK_LENGTH)], "perturbative quantum gravity fails"),
+        (["dcs-scan", "--units", "si", "--lambda", "1e-40", "--samples", "3"],
+         "above the Planck length, 1.61626e-35 m"),
         (["qed-scan", "--lambda", "1e-80"], "above the electron's reduced Compton wavelength"),
         (["dcs-scan", "--units", "si", "--lambda", "1e300"], "out of range"),
         (["coincidence-scan", "--delta-max", "inf"], "finite"),
@@ -463,8 +475,10 @@ class TestUnevaluableInputs:
         (["coincidence-scan", "--samples", "1"], "--samples must be at least 2"),
         # The loop formula holds only well above lambda_C; the bound is named.
         (["si", "--theory", "qed", "--lambda", "1e-60"],
-         "the qed cross section at --lambda 1e-60 needs lambda above the electron's reduced "
-         "Compton wavelength, 3.86159e-13 m"),
+         "wavelength 1e-60 m must lie above the electron's reduced Compton wavelength, "
+         "3.86159e-13 m"),
+        (["qed-scan", "--lambda", "1e-80", "--samples", "100000", "--format", "json"],
+         "reduced Compton wavelength, 3.86159e-13 m"),
         (["si", "--theory", "qed", "--lambda", "1e-15"],
          "reduced Compton wavelength, 3.86159e-13 m"),
         (["si", "--theory", "qed", "--lambda", repr(COMPTON_WAVELENGTH)], "pair threshold"),
@@ -484,7 +498,7 @@ class TestUnevaluableInputs:
         assert "cannot evaluate (" in last and "--lambda" not in last
 
     @pytest.mark.parametrize("handler, fields, message", [
-        (cli._run_si, {"wavelength": 0.0, "theory": "pqg", "units": "si", "format": "text"},
+        (cli._run_si, {"wavelength": 0.0, "theory": "pqg", "format": "text"},
          "--lambda must be finite and positive"),
         (cli._run_coincidence_scan, {"phi": 2.0, "rho": 0.0, "delta_min": 0.0, "delta_max": 1.0,
                                      "samples": 5, "format": "csv"},
@@ -590,6 +604,23 @@ class TestStreamedColumns:
         out, err = capfd.readouterr()
         assert out.splitlines()[1] == "1e-80,inf,inf,inf,inf"
         assert err == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("workers", [3, 0], ids=["forked", "in-process"])
+    def test_lambda_below_the_planck_length_writes_nothing(self, workers, fmt, monkeypatch,
+                                                           capfd):
+        # Every value there would overflow to inf; the first chunk of the
+        # checking pass stops the command before any byte is written.
+        monkeypatch.setattr(cli, "_workers", lambda jobs: workers)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dcs-scan", "--units", "si", "--lambda", "1e-250", "--samples", "100000",
+                  "--format", fmt])
+        assert excinfo.value.code == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith("must lie above the Planck length, 1.61626e-35 m: "
+                                             "perturbative quantum gravity fails at the "
+                                             "Planck energy")
 
 
 class TestNegativeValues:

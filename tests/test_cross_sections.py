@@ -413,17 +413,34 @@ class TestSiConversion:
                 assert abs(Fraction(float(value)) - exact) < exact / 2 ** 52
 
 
-# Where an intermediate of the SI conversions is subnormal, the values are
-# exact to the float: against fractions.Fraction of the same constants, the
-# error is below 2^-52. With the subnormal intermediate in the product,
-# si_convert is 1.2% off at 1e-161 m and the QED value 7.9e-14 off at 8.72e32 m;
-# at 1e-200 m the square is 0 and the product divides by zero.
-@pytest.mark.parametrize("wavelength", [1e-200, 1e-161, 1e-160, 1e-155])
-def test_si_convert_is_exact_where_the_square_of_the_wavelength_is_subnormal(wavelength):
-    assert wavelength ** 2 < sys.float_info.min
-    exact = 32 * Fraction(PLANCK_LENGTH) ** 4 / Fraction(wavelength) ** 2
-    for value in (si_convert(32.0, wavelength), si_convert(np.array([32.0]), wavelength)[0]):
-        assert abs(Fraction(float(value)) - exact) < exact / 2 ** 52
+# Each SI formula refuses a wavelength at or below its floor, naming the
+# bound. The Planck length bounds perturbative gravity: below it lambda^2
+# would turn subnormal near 1.5e-154 m and 0 near 1e-162 m. The electron's
+# reduced Compton wavelength bounds the loop formula: below about 1.2e-54 m
+# lambda^6 is 0.
+@pytest.mark.parametrize("wavelength", [1e-200, 1e-161, 1e-160, 1e-155, 1e-40, PLANCK_LENGTH])
+def test_si_convert_refuses_wavelengths_at_or_below_the_planck_length(wavelength):
+    for reduced in (32.0, np.array([32.0])):
+        with pytest.raises(ValueError, match=r"above the Planck length, 1\.61626e-35 m: "
+                                             "perturbative quantum gravity fails"):
+            si_convert(reduced, wavelength)
+
+
+@pytest.mark.parametrize("wavelength", [1e-60, 1e-15, COMPTON_WAVELENGTH])
+def test_qed_value_refuses_wavelengths_at_or_below_the_compton_wavelength(wavelength):
+    for theta in (0.0, np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match="above the electron's reduced Compton wavelength, "
+                                             r"3\.86159e-13 m: the low-energy loop formula"):
+            dcs_entangled_qed(theta, TwoPhotonPolState.psi_plus(), wavelength)
+
+
+def test_si_values_just_above_the_floors_are_normal():
+    # The largest value each formula gives: 8.36e-69 and 6.11e-36 m^2/sr.
+    gravity = si_convert(32.0, math.nextafter(PLANCK_LENGTH, math.inf))
+    loop = dcs_entangled_qed(0.0, TwoPhotonPolState.psi_plus(),
+                             math.nextafter(COMPTON_WAVELENGTH, math.inf))
+    assert_allclose([gravity, loop], [8.36e-69, 6.11e-36], rtol=1e-3)
+    assert gravity == 32.0 * PLANCK_LENGTH ** 4 / math.nextafter(PLANCK_LENGTH, math.inf) ** 2
 
 
 def test_qed_value_is_exact_where_the_prefactor_is_subnormal():
